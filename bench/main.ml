@@ -205,14 +205,14 @@ let fig9 () =
   print_endline "(tool-runtime model anchored on Section VI.C: ~6 s Scala compile,";
   print_endline " ~50 s Vivado project generation, HLS once per function, 42 min total;";
   print_endline " Arch4 generated first so later architectures reuse its HLS cores)";
-  let cache = Hashtbl.create 8 in
+  let hls = Soc_farm.Cache.hls_engine (Soc_farm.Cache.create ()) in
   let order = [ Graphs.Arch4; Graphs.Arch1; Graphs.Arch2; Graphs.Arch3 ] in
   let builds =
     List.map
       (fun arch ->
         let wall0 = Sys.time () in
         let b =
-          Flow.build ~hls_cache:cache (Graphs.arch_spec arch)
+          Flow.build ~hls (Graphs.arch_spec arch)
             ~kernels:(Graphs.arch_kernels arch ~width:case_w ~height:case_h)
         in
         (arch, b, Sys.time () -. wall0))
@@ -441,29 +441,50 @@ let sdsoc_ablation () =
 
 let dse () =
   hr "Extension -- design-space exploration over all 2^4 partitions";
-  let r = Soc_dse.Explore.exhaustive ~width:32 ~height:32 () in
-  let front = Soc_dse.Explore.pareto r.Soc_dse.Explore.points in
+  (* The 16 partitions are the tuner space with the other knobs held at
+     FIFO 1024, list scheduling and the standard FU allocation. *)
+  let module T = Soc_dse.Tuner in
+  let module S = Soc_tune.Search in
+  let opts = { T.default_options with T.width = 32; height = 32 } in
+  let space = T.space () in
+  let space =
+    { space with
+      S.universe =
+        (fun () ->
+          List.filter
+            (fun c -> c.T.fifo = 1024 && (not c.T.asap) && not c.T.narrow)
+            (space.S.universe ())) }
+  in
+  let sweep strategy =
+    let cache = Soc_farm.Cache.create () in
+    let prepare = T.prepare opts (T.budget_device opts.T.budget_pct) in
+    let eval cands = Soc_tune.Eval.population ~cache ~prepare cands in
+    S.run ~space ~eval strategy ~seed:opts.T.seed
+  in
+  let signature (p : S.point) = List.hd (String.split_on_char '/' p.S.key) in
+  let r = sweep S.Exhaustive in
+  let front =
+    Soc_tune.Pareto.front
+      ~objectives:(fun (p : S.point) ->
+        [| float_of_int p.S.cycles; float_of_int p.S.usage.Report.lut |])
+      r.S.points
+  in
   let t =
     Table.create ~title:"G=grayScale H=histogram O=otsuMethod B=binarization"
       [ "GHOB"; "cycles"; "LUT"; "Pareto" ]
       ~aligns:[ Table.Left; Table.Right; Table.Right; Table.Center ]
   in
   List.iter
-    (fun (p : Soc_dse.Runner.point) ->
+    (fun (p : S.point) ->
       Table.add_row t
-        [ Soc_dse.Partition.signature p.Soc_dse.Runner.partition;
-          string_of_int p.Soc_dse.Runner.cycles;
-          string_of_int p.Soc_dse.Runner.resources.Report.lut;
-          (if List.memq p front || List.exists (fun q -> q == p) front then "*" else "") ])
-    r.Soc_dse.Explore.points;
+        [ signature p; string_of_int p.S.cycles; string_of_int p.S.usage.Report.lut;
+          (if List.memq p front then "*" else "") ])
+    r.S.points;
   Table.print t;
-  let g = Soc_dse.Explore.greedy ~width:32 ~height:32 () in
+  let g = sweep S.Greedy in
   Printf.printf "greedy: %s in %d evaluations (exhaustive: %d)\n"
-    (String.concat " -> "
-       (List.map
-          (fun (p : Soc_dse.Runner.point) -> Soc_dse.Partition.signature p.Soc_dse.Runner.partition)
-          g.Soc_dse.Explore.points))
-    g.Soc_dse.Explore.evaluations r.Soc_dse.Explore.evaluations;
+    (String.concat " -> " (List.map signature g.S.trail))
+    g.S.evaluated r.S.evaluated;
 
   (* Population-scale autotuning through the farm: an evolutionary sweep
      over partition x FIFO x schedule x FU allocation, cold then warm

@@ -548,16 +548,7 @@ let farm_cmd =
     let entries =
       List.map
         (fun file ->
-          let spec = or_die (load file) in
-          let kernels =
-            List.filter
-              (fun (name, _) ->
-                List.exists
-                  (fun (n : Soc_core.Spec.node_spec) -> n.Soc_core.Spec.node_name = name)
-                  spec.Soc_core.Spec.nodes)
-              (builtin_kernels ())
-          in
-          { Soc_farm.Jobgraph.spec; kernels })
+          Soc_farm.Jobgraph.entry_of ~library:(builtin_kernels ()) (or_die (load file)))
         files
     in
     let cache = Soc_farm.Cache.create ?disk_dir:cache_dir ?max_mb () in
@@ -764,21 +755,7 @@ let explore_cmd =
 
 let doctor_cmd =
   let module Diag = Soc_util.Diag in
-  let json_str s =
-    let buf = Buffer.create (String.length s + 2) in
-    Buffer.add_char buf '"';
-    String.iter
-      (fun c ->
-        match c with
-        | '"' -> Buffer.add_string buf "\\\""
-        | '\\' -> Buffer.add_string buf "\\\\"
-        | '\n' -> Buffer.add_string buf "\\n"
-        | c when Char.code c < 0x20 -> Buffer.add_string buf (Printf.sprintf "\\u%04x" (Char.code c))
-        | c -> Buffer.add_char buf c)
-      s;
-    Buffer.add_char buf '"';
-    Buffer.contents buf
-  in
+  let json_str s = "\"" ^ Soc_util.Json.escape s ^ "\"" in
   let run dir format =
     let cr = Soc_farm.Cache.fsck ~dir in
     let jr = Soc_farm.Journal.fsck (Filename.concat dir Soc_farm.Journal.default_name) in

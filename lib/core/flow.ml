@@ -134,17 +134,6 @@ type hls_engine =
 let direct_hls : hls_engine =
  fun ~config kernel -> (`Synthesized, Soc_hls.Engine.synthesize ~config kernel)
 
-(* Legacy shim for the deprecated [?hls_cache] parameter: name-keyed reuse
-   flags through a caller-shared unit table, real synthesis every time —
-   exactly the historical behaviour (only the Toolsim estimate was
-   discounted). The farm cache replaces this with content-addressed reuse
-   of the actual accelerators. *)
-let legacy_cache_hls (table : (string, unit) Hashtbl.t) : hls_engine =
- fun ~config kernel ->
-  let reused = Hashtbl.mem table kernel.Ast.kname in
-  if not reused then Hashtbl.replace table kernel.Ast.kname ();
-  ((if reused then `Reused else `Synthesized), Soc_hls.Engine.synthesize ~config kernel)
-
 (* Stage 1: kernel/interface consistency. *)
 let pair_kernels (spec : Spec.t) ~(kernels : (string * Ast.kernel) list) :
     (Spec.node_spec * Ast.kernel) list =
@@ -264,18 +253,12 @@ let assemble (spec : Spec.t) ~dsl_source (impls : node_impl list) (integ : integ
 
 let build ?(hls_config = Soc_hls.Engine.default_config)
     ?(fifo_depth = Soc_platform.Config.zedboard.Soc_platform.Config.default_fifo_depth)
-    ?(hls_cache : (string, unit) Hashtbl.t option) ?hls ?on_stage (spec : Spec.t)
+    ?(hls = direct_hls) ?on_stage (spec : Spec.t)
     ~(kernels : (string * Ast.kernel) list) : build =
   let note s = match on_stage with Some f -> f s | None -> () in
   Spec.validate_exn spec;
   note "preflight";
   check_pre_flight spec ~kernels;
-  let hls =
-    match (hls, hls_cache) with
-    | Some h, _ -> h (* explicit engine wins *)
-    | None, Some table -> legacy_cache_hls table
-    | None, None -> direct_hls
-  in
   let hls ~config kernel =
     note ("hls:" ^ kernel.Ast.kname);
     hls ~config kernel

@@ -76,11 +76,6 @@ type hls_engine =
 val direct_hls : hls_engine
 (** Always runs {!Soc_hls.Engine.synthesize}; every kernel is [`Synthesized]. *)
 
-val legacy_cache_hls : (string, unit) Hashtbl.t -> hls_engine
-(** The historical [?hls_cache] semantics: name-keyed reuse flags through a
-    caller-shared unit table, real synthesis every time. Only the estimate
-    is discounted — prefer [Soc_farm.Cache.hls_engine]. *)
-
 val pair_kernels :
   Spec.t -> kernels:(string * Soc_kernel.Ast.kernel) list -> (Spec.node_spec * Soc_kernel.Ast.kernel) list
 (** Stage 1: kernel/interface consistency; raises [Build_error]. *)
@@ -144,7 +139,6 @@ val assemble :
 val build :
   ?hls_config:Soc_hls.Engine.config ->
   ?fifo_depth:int ->
-  ?hls_cache:(string, unit) Hashtbl.t ->
   ?hls:hls_engine ->
   ?on_stage:(string -> unit) ->
   Spec.t ->
@@ -152,8 +146,6 @@ val build :
   build
 (** [hls] supplies accelerators (default {!direct_hls}); pass
     [Soc_farm.Cache.hls_engine] to share real HLS results across builds.
-    [hls_cache] is the deprecated estimate-only sharing mechanism, kept for
-    one release as {!legacy_cache_hls}; it is ignored when [hls] is given.
     [on_stage] is called at the entry of each flow stage with a stable
     name — ["preflight"], ["hls:<kernel>"] per node, ["integrate"],
     ["synth"], ["swgen"], ["estimate"], ["finalize"] — so a caller can

@@ -44,8 +44,7 @@ let bitgen_time = 42.0
 (* Reuse models the paper's claim: "the generation of the hardware cores is
    done only once for each function" — a kernel whose accelerator is reused
    from an earlier build costs nothing. Who decides what counts as reused is
-   the caller (the farm attributes it by content hash and batch order; the
-   legacy [estimate] below keys on kernel names in a shared table). *)
+   the caller (the farm attributes it by content hash and batch order). *)
 type kernel_cost = { kname : string; complexity : int; reused : bool }
 
 let estimate_costed ~arch ~dsl_lines ~(kernel_costs : kernel_cost list) ~cells ~luts :
@@ -68,22 +67,6 @@ let estimate_costed ~arch ~dsl_lines ~(kernel_costs : kernel_cost list) ~cells ~
         (Bitgen, bitgen_time);
       ];
   }
-
-(* Deprecated entry point, kept for one release: name-keyed reuse through a
-   caller-shared unit table. It discounts only the *estimate*; the farm's
-   artifact cache ({!Soc_farm.Cache}) keys both the estimate and the actual
-   HLS work by the same content hash, so the two can never disagree. *)
-let estimate ~arch ~dsl_lines ~(kernel_complexities : (string * int) list)
-    ~(hls_cache : (string, unit) Hashtbl.t) ~cells ~luts : breakdown =
-  let kernel_costs =
-    List.map
-      (fun (kname, complexity) ->
-        let reused = Hashtbl.mem hls_cache kname in
-        if not reused then Hashtbl.replace hls_cache kname ();
-        { kname; complexity; reused })
-      kernel_complexities
-  in
-  estimate_costed ~arch ~dsl_lines ~kernel_costs ~cells ~luts
 
 let pp fmt b =
   Format.fprintf fmt "%s:" b.arch;

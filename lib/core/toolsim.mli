@@ -34,21 +34,8 @@ val estimate_costed :
   cells:int ->
   luts:int ->
   breakdown
-(** Primary entry point: reused kernels cost nothing in the HLS phase. The
+(** The estimate: reused kernels cost nothing in the HLS phase. The
     caller decides reuse — {!Soc_farm.Cache} attributes it by content hash
     so the estimate and the actual HLS work agree by construction. *)
-
-val estimate :
-  arch:string ->
-  dsl_lines:int ->
-  kernel_complexities:(string * int) list ->
-  hls_cache:(string, unit) Hashtbl.t ->
-  cells:int ->
-  luts:int ->
-  breakdown
-(** @deprecated Name-keyed wrapper over {!estimate_costed}, kept for one
-    release. Kernels present in [hls_cache] cost nothing; new ones are added
-    to the cache. The table only discounts the estimate — it shares no
-    actual HLS work, so prefer the farm cache. *)
 
 val pp : Format.formatter -> breakdown -> unit

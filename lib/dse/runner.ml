@@ -160,18 +160,3 @@ let measure ?(width = 32) ?(height = 32) ?(seed = 42) ?fifo_depth ?(mode = `Rtl)
     output;
     threshold;
   }
-
-(* Evaluate one partition end to end: run the staged flow (unless all-SW)
-   through the pluggable HLS engine, then measure. *)
-let evaluate ?(width = 32) ?(height = 32) ?(seed = 42)
-    ?(hls_config = Soc_hls.Engine.default_config) ?hls ?(mode = `Rtl) (t : P.t) : point =
-  let pixels = width * height in
-  let fifo_depth = max 1024 (pixels + 16) in
-  let build =
-    if P.is_all_sw t then None
-    else
-      Some
-        (Soc_core.Flow.build ~hls_config ~fifo_depth ?hls (P.spec_of t)
-           ~kernels:(P.kernels_of t ~width ~height))
-  in
-  measure ~width ~height ~seed ~fifo_depth ~mode build t

@@ -33,18 +33,3 @@ val measure :
     {!Soc_farm.Farm.build_batch}) and run the partition's execution plan;
     [None] runs the all-software partition. Raises {!Wrong_output} when
     the image differs from the golden model. *)
-
-val evaluate :
-  ?width:int ->
-  ?height:int ->
-  ?seed:int ->
-  ?hls_config:Soc_hls.Engine.config ->
-  ?hls:Soc_core.Flow.hls_engine ->
-  ?mode:[ `Rtl | `Behavioral ] ->
-  Partition.t ->
-  point
-(** Build (through the pluggable HLS engine — pass
-    [Soc_farm.Cache.hls_engine] to share real synthesis work) then
-    {!measure}. [`Behavioral] runs accelerators on the interpreter
-    engine — a much faster sweep with ideal-pipeline timing; functional
-    checks unchanged. *)

@@ -2,8 +2,7 @@
    space (HW/SW partition x FIFO depth x HLS schedule strategy x
    functional-unit allocation), candidate spec generation as canonical
    DSL text, the pre-HLS analyzer/budget gate, and farm-backed
-   measurement through Runner.measure. This is the population-scale
-   successor of the hand-rolled sweeps in Explore. *)
+   measurement through Runner.measure. *)
 
 module Search = Soc_tune.Search
 module Eval = Soc_tune.Eval
@@ -67,7 +66,7 @@ let space () : candidate Search.space =
     start = { part = Partition.all_sw; fifo = 1024; asap = false; narrow = false };
     neighbours =
       (fun c ->
-        (* The greedy moves of Explore.greedy: promote one SW stage to HW. *)
+        (* Greedy moves: promote one SW stage to HW. *)
         List.filter_map
           (fun s ->
             if Partition.in_hw c.part s then None

@@ -17,8 +17,7 @@ val config_of : candidate -> Soc_hls.Engine.config
 
 val space : unit -> candidate Soc_tune.Search.space
 (** 16 partitions x 3 FIFO depths x 2 schedules x 2 allocations = 192
-    candidates; greedy neighbours are the SW->HW stage promotions of
-    {!Explore.greedy}. *)
+    candidates; greedy neighbours are the SW->HW stage promotions. *)
 
 type options = {
   strategy : Soc_tune.Search.strategy;

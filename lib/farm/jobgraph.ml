@@ -3,6 +3,12 @@ module Ast = Soc_kernel.Ast
 
 type entry = { spec : Spec.t; kernels : (string * Ast.kernel) list }
 
+let entry_of ~library (spec : Spec.t) =
+  let used (name, _) =
+    List.exists (fun (n : Spec.node_spec) -> n.Spec.node_name = name) spec.Spec.nodes
+  in
+  { spec; kernels = List.filter used library }
+
 type task =
   | Hls of { key : Chash.t; kernel : Ast.kernel; owner : int }
   | Integrate of int

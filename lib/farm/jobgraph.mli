@@ -21,6 +21,11 @@ type entry = {
   kernels : (string * Soc_kernel.Ast.kernel) list;
 }
 
+val entry_of : library:(string * Soc_kernel.Ast.kernel) list -> Soc_core.Spec.t -> entry
+(** The spec with its kernel library narrowed to the spec's node names, in
+    library order. The [farm] command, the serve daemon and the worker
+    daemon all resolve specs here, so their manifests byte-match. *)
+
 type task =
   | Hls of { key : Chash.t; kernel : Soc_kernel.Ast.kernel; owner : int }
       (** [owner] = batch index charged for this synthesis *)

@@ -58,19 +58,6 @@ let phase_seconds t =
 (* Chrome trace_event JSON                                             *)
 (* ------------------------------------------------------------------ *)
 
-let json_escape s =
-  let buf = Buffer.create (String.length s + 8) in
-  String.iter
-    (fun c ->
-      match c with
-      | '"' -> Buffer.add_string buf "\\\""
-      | '\\' -> Buffer.add_string buf "\\\\"
-      | '\n' -> Buffer.add_string buf "\\n"
-      | c when Char.code c < 0x20 -> Buffer.add_string buf (Printf.sprintf "\\u%04x" (Char.code c))
-      | c -> Buffer.add_char buf c)
-    s;
-  Buffer.contents buf
-
 let to_chrome_json t =
   let buf = Buffer.create 4096 in
   Buffer.add_string buf "{\"traceEvents\":[";
@@ -82,9 +69,9 @@ let to_chrome_json t =
       Buffer.add_string buf
         (Printf.sprintf
            "{\"name\":\"%s\",\"cat\":\"%s\",\"ph\":\"X\",\"pid\":1,\"tid\":%d,\"ts\":%.1f,\"dur\":%.1f,\"args\":{\"attempt\":%d,\"outcome\":\"%s\"}}"
-           (json_escape s.name) (json_escape s.cat) s.worker (s.t_start *. 1e6)
+           (Soc_util.Json.escape s.name) (Soc_util.Json.escape s.cat) s.worker (s.t_start *. 1e6)
            ((s.t_end -. s.t_start) *. 1e6)
-           s.attempt (json_escape s.outcome)))
+           s.attempt (Soc_util.Json.escape s.outcome)))
     (spans t);
   List.iter
     (fun (name, v) ->
@@ -92,7 +79,7 @@ let to_chrome_json t =
       Buffer.add_string buf
         (Printf.sprintf
            "{\"name\":\"%s\",\"ph\":\"C\",\"pid\":1,\"tid\":0,\"ts\":0,\"args\":{\"value\":%d}}"
-           (json_escape name) v))
+           (Soc_util.Json.escape name) v))
     (counters t);
   Buffer.add_string buf "],\"displayTimeUnit\":\"ms\"}";
   Buffer.contents buf

@@ -90,16 +90,6 @@ let in_flight t =
   Mutex.unlock t.lock;
   n
 
-(* Same per-spec kernel filtering as the server and the [farm]
-   subcommand, so a worker-built manifest byte-matches both. *)
-let kernels_for t spec =
-  List.filter
-    (fun (name, _) ->
-      List.exists
-        (fun (n : Soc_core.Spec.node_spec) -> n.Soc_core.Spec.node_name = name)
-        spec.Soc_core.Spec.nodes)
-    t.cfg.kernels
-
 (* Run the build for [key], with attached-waiter idempotency: the first
    session to ask becomes the builder; concurrent duplicates block on
    the record until the builder publishes. The registry only holds
@@ -134,7 +124,7 @@ let run_build t ~source ~key : Protocol.response =
       | exception Soc_core.Parser.Parse_error (msg, _, _)
       | exception Soc_core.Lexer.Lex_error (msg, _, _) -> fail ("parse: " ^ msg)
       | spec -> (
-        let entry = { Soc_farm.Jobgraph.spec; kernels = kernels_for t spec } in
+        let entry = Soc_farm.Jobgraph.entry_of ~library:t.cfg.kernels spec in
         let probe () =
           Mutex.lock t.lock;
           let c = inf.cancelled in

@@ -196,17 +196,6 @@ let session_count t =
 let coalescing_key spec =
   Soc_farm.Chash.to_hex (Soc_farm.Chash.digest (Soc_core.Printer.to_source spec))
 
-(* Resolve the server's kernel library against one spec, exactly like the
-   [farm] subcommand does, so a served manifest byte-matches a direct
-   [socdsl farm --manifest] of the same source. *)
-let kernels_for t spec =
-  List.filter
-    (fun (name, _) ->
-      List.exists
-        (fun (n : Soc_core.Spec.node_spec) -> n.Soc_core.Spec.node_name = name)
-        spec.Soc_core.Spec.nodes)
-    t.cfg.kernels
-
 let admit t ~source ~priority ~deadline_ms : Protocol.response =
   let reject reason detail diags =
     Protocol.Rejected { reason; detail; diags }
@@ -229,8 +218,9 @@ let admit t ~source ~priority ~deadline_ms : Protocol.response =
         reject Protocol.Parse_failed msg
           [ Diag.error ~span:{ Diag.line; col } ~code:"SOC000" ~subject:"request" msg ]
       | spec ->
-        let kernels = kernels_for t spec in
-        let diags = Soc_analysis.Analyze.run ~kernels spec in
+        (* The analyzer gets the whole library: it narrows to the spec's
+           nodes itself, and an empty list would skip SOC020. *)
+        let diags = Soc_analysis.Analyze.run ~kernels:t.cfg.kernels spec in
         if Diag.has_errors diags then begin
           Atomic.incr t.rejected_check;
           reject Protocol.Check_failed
@@ -248,7 +238,8 @@ let admit t ~source ~priority ~deadline_ms : Protocol.response =
                  t.cfg.breaker_threshold remaining)
               []
           | Breaker.Admit | Breaker.Probe -> (
-            let payload = { entry = { Soc_farm.Jobgraph.spec; kernels }; source } in
+            let entry = Soc_farm.Jobgraph.entry_of ~library:t.cfg.kernels spec in
+            let payload = { entry; source } in
             let deadline_ms =
               match deadline_ms with Some _ as d -> d | None -> t.cfg.default_deadline_ms
             in

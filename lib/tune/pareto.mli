@@ -1,8 +1,7 @@
 (** k-objective Pareto dominance (all objectives minimized).
 
     This is the shared dominance check behind every frontier in the
-    autotuner; {!Soc_dse.Explore.pareto} is a thin 2-objective wrapper
-    over it. *)
+    autotuner. *)
 
 val dominates : float array -> float array -> bool
 (** [dominates a b] — [a] is no worse than [b] in every objective and

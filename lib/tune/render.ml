@@ -4,21 +4,7 @@
    — the CI smoke compares them with cmp(1). *)
 
 module Table = Soc_util.Table
-
-let json_escape s =
-  let b = Buffer.create (String.length s + 8) in
-  String.iter
-    (fun c ->
-      match c with
-      | '"' -> Buffer.add_string b "\\\""
-      | '\\' -> Buffer.add_string b "\\\\"
-      | '\n' -> Buffer.add_string b "\\n"
-      | '\r' -> Buffer.add_string b "\\r"
-      | '\t' -> Buffer.add_string b "\\t"
-      | c when Char.code c < 0x20 -> Buffer.add_string b (Printf.sprintf "\\u%04x" (Char.code c))
-      | c -> Buffer.add_char b c)
-    s;
-  Buffer.contents b
+module Json = Soc_util.Json
 
 let us p = p.Search.objectives.(0)
 
@@ -26,15 +12,15 @@ let point_json (p : Search.point) =
   let u = p.Search.usage in
   Printf.sprintf
     "{\"key\": \"%s\", \"latency_us\": %.3f, \"cycles\": %d, \"lut\": %d, \"ff\": %d, \"bram18\": %d, \"dsp\": %d, \"dsl\": \"%s\"}"
-    (json_escape p.Search.key) (us p) p.Search.cycles u.Soc_hls.Report.lut
+    (Json.escape p.Search.key) (us p) p.Search.cycles u.Soc_hls.Report.lut
     u.Soc_hls.Report.ff u.Soc_hls.Report.bram18 u.Soc_hls.Report.dsp
-    (json_escape p.Search.dsl)
+    (Json.escape p.Search.dsl)
 
 let frontier_json (r : Search.result) =
   let b = Buffer.create 1024 in
   Buffer.add_string b "{\n";
-  Buffer.add_string b (Printf.sprintf "  \"space\": \"%s\",\n" (json_escape r.Search.space));
-  Buffer.add_string b (Printf.sprintf "  \"strategy\": \"%s\",\n" (json_escape r.Search.strategy));
+  Buffer.add_string b (Printf.sprintf "  \"space\": \"%s\",\n" (Json.escape r.Search.space));
+  Buffer.add_string b (Printf.sprintf "  \"strategy\": \"%s\",\n" (Json.escape r.Search.strategy));
   Buffer.add_string b (Printf.sprintf "  \"seed\": %d,\n" r.Search.seed);
   Buffer.add_string b
     (Printf.sprintf "  \"objectives\": [%s],\n"

@@ -5,8 +5,6 @@
     text regardless of cache temperature — the property the CI explore
     smoke asserts with [cmp]. *)
 
-val json_escape : string -> string
-
 val frontier_json : Search.result -> string
 (** Multi-line JSON: strategy/seed/counters plus the frontier points
     (objectives, cycles, canonical DSL text). *)

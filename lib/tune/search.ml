@@ -77,6 +77,7 @@ type result = {
   infeasible : int;
   failures : (string * string) list;  (** candidate key -> reason *)
   rounds : int;
+  trail : point list;  (** greedy's accepted climb; [] for other strategies *)
 }
 
 (* Frontier: non-dominated set, sorted by (objective vector, key) and
@@ -169,6 +170,7 @@ let run ?(on_round = fun _ -> ()) ?(chunk = 16) ~space ~eval strategy ~seed =
     { sspace = space; seval = eval; memo = Hashtbl.create 64; cands = Hashtbl.create 64;
       on_round; order = []; proposed = 0; infeasible = 0; failures = []; rounds = 0 }
   in
+  let trail = ref [] in
   (match strategy with
   | Exhaustive ->
     List.iter
@@ -184,16 +186,17 @@ let run ?(on_round = fun _ -> ()) ?(chunk = 16) ~space ~eval strategy ~seed =
         finish_round st)
       (chunked chunk (List.init (max 1 n) (fun _ -> space.random rng)))
   | Greedy ->
-    (* The hill climb of lib/dse/explore.ml, generalized: repeatedly take
-       the neighbour with the best latency-improvement-per-extra-area
-       ratio; stop when no neighbour improves latency. *)
-    let rec climb current cur_objs =
+    (* Hill climb: repeatedly take the neighbour with the best
+       latency-improvement-per-extra-area ratio; stop when no neighbour
+       improves latency. *)
+    let rec climb current (cur : point) =
+      trail := cur :: !trail;
       let res = submit st (space.neighbours current) in
       finish_round st;
       let better =
         List.filter_map
           (function
-            | c, Feasible p when p.objectives.(0) < cur_objs.(0) -> Some (c, p)
+            | c, Feasible p when p.objectives.(0) < cur.objectives.(0) -> Some (c, p)
             | _ -> None)
           res
       in
@@ -201,16 +204,16 @@ let run ?(on_round = fun _ -> ()) ?(chunk = 16) ~space ~eval strategy ~seed =
       | [] -> ()
       | first :: rest ->
         let score (_, p) =
-          let darea = Float.max 1.0 (p.objectives.(1) -. cur_objs.(1)) in
-          (cur_objs.(0) -. p.objectives.(0)) /. darea
+          let darea = Float.max 1.0 (p.objectives.(1) -. cur.objectives.(1)) in
+          (cur.objectives.(0) -. p.objectives.(0)) /. darea
         in
         let c, p = List.fold_left (fun acc x -> if score x > score acc then x else acc) first rest in
-        climb c p.objectives
+        climb c p
     in
     (match submit st [ space.start ] with
     | [ (_, Feasible p) ] ->
       finish_round st;
-      climb space.start p.objectives
+      climb space.start p
     | _ -> finish_round st)
   | Evolve { population; generations } ->
     let population = max 1 population in
@@ -248,4 +251,5 @@ let run ?(on_round = fun _ -> ()) ?(chunk = 16) ~space ~eval strategy ~seed =
     evaluated = Hashtbl.length st.memo;
     infeasible = st.infeasible;
     failures = List.rev st.failures;
-    rounds = st.rounds }
+    rounds = st.rounds;
+    trail = List.rev !trail }

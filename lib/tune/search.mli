@@ -79,6 +79,8 @@ type result = {
   infeasible : int;
   failures : (string * string) list;  (** candidate key -> reason *)
   rounds : int;
+  trail : point list;
+      (** greedy's accepted climb, start first; [[]] for other strategies *)
 }
 
 val frontier_of : point list -> point list

@@ -72,39 +72,22 @@ let to_string ?file t =
     (severity_label t.severity)
     t.code t.subject t.message
 
-(* Minimal JSON string escaping: enough for codes, port names and the
-   messages we generate (no control characters beyond \n\t). *)
-let json_escape s =
-  let buf = Buffer.create (String.length s + 2) in
-  String.iter
-    (fun c ->
-      match c with
-      | '"' -> Buffer.add_string buf "\\\""
-      | '\\' -> Buffer.add_string buf "\\\\"
-      | '\n' -> Buffer.add_string buf "\\n"
-      | '\t' -> Buffer.add_string buf "\\t"
-      | c when Char.code c < 0x20 ->
-        Buffer.add_string buf (Printf.sprintf "\\u%04x" (Char.code c))
-      | c -> Buffer.add_char buf c)
-    s;
-  Buffer.contents buf
-
 let to_json ?file t =
   let fields =
     List.concat
       [
         (match file with
-        | Some f -> [ Printf.sprintf {|"file":"%s"|} (json_escape f) ]
+        | Some f -> [ Printf.sprintf {|"file":"%s"|} (Json.escape f) ]
         | None -> []);
         (match t.span with
         | Some { line; col } ->
           [ Printf.sprintf {|"line":%d|} line; Printf.sprintf {|"col":%d|} col ]
         | None -> []);
         [
-          Printf.sprintf {|"code":"%s"|} (json_escape t.code);
+          Printf.sprintf {|"code":"%s"|} (Json.escape t.code);
           Printf.sprintf {|"severity":"%s"|} (severity_label t.severity);
-          Printf.sprintf {|"subject":"%s"|} (json_escape t.subject);
-          Printf.sprintf {|"message":"%s"|} (json_escape t.message);
+          Printf.sprintf {|"subject":"%s"|} (Json.escape t.subject);
+          Printf.sprintf {|"message":"%s"|} (Json.escape t.message);
         ];
       ]
   in

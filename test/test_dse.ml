@@ -1,7 +1,10 @@
 (* Tests for the DSE extension: partition model, generated specs, the
-   generic host runner, and the exploration strategies. *)
+   generic host runner, and exhaustive/greedy search over the 16
+   partitions through the autotuner. *)
 
 module P = Soc_dse.Partition
+module T = Soc_dse.Tuner
+module S = Soc_tune.Search
 
 let check = Alcotest.check
 let qtest = QCheck_alcotest.to_alcotest
@@ -82,28 +85,41 @@ let test_hw_runs_grouping () =
 (* Runner                                                              *)
 (* ------------------------------------------------------------------ *)
 
+(* One partition end to end: the staged flow (unless all-SW) through the
+   given HLS engine, then Runner.measure. *)
+let evaluate ?hls ?mode ~width ~height (p : P.t) =
+  let fifo_depth = max 1024 ((width * height) + 16) in
+  let build =
+    if P.is_all_sw p then None
+    else
+      Some
+        (Soc_core.Flow.build ~fifo_depth ?hls (P.spec_of p)
+           ~kernels:(P.kernels_of p ~width ~height))
+  in
+  Soc_dse.Runner.measure ~width ~height ~fifo_depth ?mode build p
+
 let test_all_sw_point () =
-  let pt = Soc_dse.Runner.evaluate ~width:16 ~height:16 P.all_sw in
+  let pt = evaluate ~width:16 ~height:16 P.all_sw in
   check Alcotest.int "no fabric" 0 pt.Soc_dse.Runner.resources.Soc_hls.Report.lut;
   check Alcotest.bool "time charged" true (pt.Soc_dse.Runner.cycles > 0)
 
 let test_every_partition_is_bit_exact () =
-  (* Runner.evaluate raises Wrong_output internally when the image differs
+  (* Runner.measure raises Wrong_output internally when the image differs
      from the golden model, so completing the sweep is itself the check. *)
   let cache = Soc_farm.Cache.create () in
   let hls = Soc_farm.Cache.hls_engine cache in
   List.iter
-    (fun p -> ignore (Soc_dse.Runner.evaluate ~width:12 ~height:12 ~hls p))
+    (fun p -> ignore (evaluate ~width:12 ~height:12 ~hls p))
     (P.enumerate ())
 
 let test_behavioral_mode_bit_exact () =
   (* The fast sweep mode produces identical images (functional check is
-     internal to evaluate) and never slower-than-RTL timing. *)
+     internal to measure) and never slower-than-RTL timing. *)
   List.iter
     (fun sig_ ->
       let p = P.of_signature sig_ in
-      let rtl = Soc_dse.Runner.evaluate ~width:12 ~height:12 ~mode:`Rtl p in
-      let beh = Soc_dse.Runner.evaluate ~width:12 ~height:12 ~mode:`Behavioral p in
+      let rtl = evaluate ~width:12 ~height:12 ~mode:`Rtl p in
+      let beh = evaluate ~width:12 ~height:12 ~mode:`Behavioral p in
       check Alcotest.bool (sig_ ^ " same image") true
         (Soc_apps.Image.equal rtl.Soc_dse.Runner.output beh.Soc_dse.Runner.output);
       check Alcotest.bool (sig_ ^ " behavioral <= rtl cycles") true
@@ -112,9 +128,7 @@ let test_behavioral_mode_bit_exact () =
 
 let test_mixed_partition_threshold () =
   (* otsu in HW, seg in SW: the threshold must land in DRAM. *)
-  let pt =
-    Soc_dse.Runner.evaluate ~width:16 ~height:16 (P.of_signature "SSHS")
-  in
+  let pt = evaluate ~width:16 ~height:16 (P.of_signature "SSHS") in
   let _, golden_thr = Soc_apps.Otsu_runner.golden ~width:16 ~height:16 () in
   check Alcotest.int "threshold through DMA" golden_thr pt.Soc_dse.Runner.threshold
 
@@ -122,79 +136,88 @@ let test_mixed_partition_threshold () =
 (* Exploration                                                         *)
 (* ------------------------------------------------------------------ *)
 
-let sweep =
-  lazy (Soc_dse.Explore.exhaustive ~width:16 ~height:16 ())
+(* The 16 partitions: the tuner space with FIFO 1024, list scheduling and
+   the standard FU allocation held fixed, priced through the farm. *)
+let search strategy =
+  let opts = T.default_options in
+  let space = T.space () in
+  let space =
+    { space with
+      S.universe =
+        (fun () ->
+          List.filter
+            (fun c -> c.T.fifo = 1024 && (not c.T.asap) && not c.T.narrow)
+            (space.S.universe ())) }
+  in
+  let cache = Soc_farm.Cache.create () in
+  let prepare = T.prepare opts (T.budget_device opts.T.budget_pct) in
+  let eval cands = Soc_tune.Eval.population ~cache ~prepare cands in
+  S.run ~space ~eval strategy ~seed:opts.T.seed
+
+let sweep = lazy (search S.Exhaustive)
+let lut (p : S.point) = p.S.usage.Soc_hls.Report.lut
+let is_all_sw (p : S.point) = p.S.key = T.key (T.space ()).S.start
 
 let test_exhaustive_counts () =
   let r = Lazy.force sweep in
-  check Alcotest.int "16 evaluations" 16 r.Soc_dse.Explore.evaluations
+  check Alcotest.int "16 evaluations" 16 r.S.evaluated
 
 let test_pareto_properties () =
   let r = Lazy.force sweep in
-  let front = Soc_dse.Explore.pareto r.Soc_dse.Explore.points in
+  let front =
+    Soc_tune.Pareto.front
+      ~objectives:(fun p -> [| float_of_int p.S.cycles; float_of_int (lut p) |])
+      r.S.points
+  in
   check Alcotest.bool "front non-empty" true (front <> []);
   (* No front point dominates another front point. *)
   List.iter
-    (fun (a : Soc_dse.Runner.point) ->
+    (fun (a : S.point) ->
       List.iter
-        (fun (b : Soc_dse.Runner.point) ->
+        (fun (b : S.point) ->
           if a != b then
             let dominates =
-              a.Soc_dse.Runner.cycles <= b.Soc_dse.Runner.cycles
-              && a.Soc_dse.Runner.resources.Soc_hls.Report.lut
-                 <= b.Soc_dse.Runner.resources.Soc_hls.Report.lut
-              && (a.Soc_dse.Runner.cycles < b.Soc_dse.Runner.cycles
-                 || a.Soc_dse.Runner.resources.Soc_hls.Report.lut
-                    < b.Soc_dse.Runner.resources.Soc_hls.Report.lut)
+              a.S.cycles <= b.S.cycles
+              && lut a <= lut b
+              && (a.S.cycles < b.S.cycles || lut a < lut b)
             in
             if dominates then Alcotest.fail "front contains dominated point")
         front)
     front;
   (* Every non-front point is dominated by some front point. *)
   List.iter
-    (fun (p : Soc_dse.Runner.point) ->
-      if not (List.exists (fun (q : Soc_dse.Runner.point) -> q == p) front) then
+    (fun (p : S.point) ->
+      if not (List.memq p front) then
         let dominated =
-          List.exists
-            (fun (q : Soc_dse.Runner.point) ->
-              q.Soc_dse.Runner.cycles <= p.Soc_dse.Runner.cycles
-              && q.Soc_dse.Runner.resources.Soc_hls.Report.lut
-                 <= p.Soc_dse.Runner.resources.Soc_hls.Report.lut)
-            front
+          List.exists (fun (q : S.point) -> q.S.cycles <= p.S.cycles && lut q <= lut p) front
         in
         check Alcotest.bool "dominated by front" true dominated)
-    r.Soc_dse.Explore.points;
+    r.S.points;
   (* The all-SW point (0 LUT) is always on the front. *)
-  check Alcotest.bool "SW on front" true
-    (List.exists
-       (fun (q : Soc_dse.Runner.point) -> P.is_all_sw q.Soc_dse.Runner.partition)
-       front)
+  check Alcotest.bool "SW on front" true (List.exists is_all_sw front)
 
 let test_greedy_descends () =
-  let g = Soc_dse.Explore.greedy ~width:16 ~height:16 () in
-  let cycles = List.map (fun (p : Soc_dse.Runner.point) -> p.Soc_dse.Runner.cycles) g.Soc_dse.Explore.points in
+  let g = search S.Greedy in
+  let cycles = List.map (fun (p : S.point) -> p.S.cycles) g.S.trail in
   let rec decreasing = function
     | a :: (b :: _ as rest) -> a > b && decreasing rest
     | _ -> true
   in
   check Alcotest.bool "strictly improving trajectory" true (decreasing cycles);
-  check Alcotest.bool "starts all-SW" true
-    (P.is_all_sw (List.hd g.Soc_dse.Explore.points).Soc_dse.Runner.partition);
+  check Alcotest.bool "starts all-SW" true (is_all_sw (List.hd g.S.trail));
   check Alcotest.bool "fewer evals than exhaustive would need at scale" true
-    (g.Soc_dse.Explore.evaluations <= 16)
+    (g.S.evaluated <= 16)
 
 let test_greedy_endpoint_not_dominated () =
   let r = Lazy.force sweep in
-  let g = Soc_dse.Explore.greedy ~width:16 ~height:16 () in
-  let last = List.nth g.Soc_dse.Explore.points (List.length g.Soc_dse.Explore.points - 1) in
+  let g = search S.Greedy in
+  let last = List.nth g.S.trail (List.length g.S.trail - 1) in
   (* No exhaustive point strictly beats the greedy endpoint on latency. *)
   let best_cycles =
-    List.fold_left
-      (fun acc (p : Soc_dse.Runner.point) -> min acc p.Soc_dse.Runner.cycles)
-      max_int r.Soc_dse.Explore.points
+    List.fold_left (fun acc (p : S.point) -> min acc p.S.cycles) max_int r.S.points
   in
   check Alcotest.bool "greedy reaches within 25% of the best latency" true
-    (float_of_int last.Soc_dse.Runner.cycles <= 1.25 *. float_of_int best_cycles)
+    (float_of_int last.S.cycles <= 1.25 *. float_of_int best_cycles)
 
 (* Property: spec_of never produces a spec whose validation fails, for any
    random signature. *)

@@ -193,13 +193,13 @@ let test_plan_ownership_by_batch_order () =
 (* ------------------------------------------------------------------ *)
 
 let test_batch_matches_serial_flow () =
-  (* The farm must produce bit-identical build records to the serial
-     legacy path (shared name-keyed cache, same batch order). *)
+  (* The farm must produce bit-identical build records to serial
+     Flow.build calls sharing one cache, in the same batch order. *)
   let serial =
-    let table = Hashtbl.create 8 in
+    let hls = Cache.hls_engine (Cache.create ()) in
     List.map
       (fun (e : Jobgraph.entry) ->
-        digest (Flow.build ~hls_cache:table e.Jobgraph.spec ~kernels:e.Jobgraph.kernels))
+        digest (Flow.build ~hls e.Jobgraph.spec ~kernels:e.Jobgraph.kernels))
       (entries ())
   in
   let r = Farm.build_batch ~jobs:4 (entries ()) in
@@ -336,7 +336,7 @@ let test_batch_missing_kernel_is_structured () =
   | _ -> Alcotest.fail "expected one structured failure"
 
 (* ------------------------------------------------------------------ *)
-(* Estimate/actual reuse agreement + deprecated wrapper                 *)
+(* Estimate/actual reuse agreement                                     *)
 (* ------------------------------------------------------------------ *)
 
 let hls_seconds (b : Flow.build) =
@@ -352,21 +352,6 @@ let test_reuse_agreement () =
   check (Alcotest.float 1e-9) "Arch3 reuses both" 0.0 (hls_seconds (by 2));
   check Alcotest.bool "Arch4 pays only for its own kernels" true
     (hls_seconds (by 3) > 0.0)
-
-let test_deprecated_hls_cache_wrapper () =
-  (* The back-compat wrapper keeps the historical semantics: shared table,
-     name-keyed discounts, second build's HLS phase costs nothing. *)
-  let table = Hashtbl.create 8 in
-  let e = List.nth (entries ()) 0 in
-  let b1 = Flow.build ~hls_cache:table e.Jobgraph.spec ~kernels:e.Jobgraph.kernels in
-  let b2 = Flow.build ~hls_cache:table e.Jobgraph.spec ~kernels:e.Jobgraph.kernels in
-  check Alcotest.bool "first build charged" true (hls_seconds b1 > 0.0);
-  check (Alcotest.float 1e-9) "second build free" 0.0 (hls_seconds b2);
-  (* ... but unlike the farm cache it still re-ran the engine. *)
-  let before = Soc_hls.Engine.invocation_count () in
-  ignore (Flow.build ~hls_cache:table e.Jobgraph.spec ~kernels:e.Jobgraph.kernels);
-  check Alcotest.int "legacy path re-synthesizes" 1
-    (Soc_hls.Engine.invocation_count () - before)
 
 let test_flow_hls_hook () =
   (* Flow.build with the farm cache engine: second call does no HLS work. *)
@@ -436,7 +421,6 @@ let suite =
     ("batch: hung job hits deadline", `Quick, test_batch_hung_job_deadline);
     ("batch: missing kernel reported", `Quick, test_batch_missing_kernel_is_structured);
     ("reuse: estimate = actual", `Quick, test_reuse_agreement);
-    ("deprecated hls_cache wrapper", `Quick, test_deprecated_hls_cache_wrapper);
     ("flow hls hook + farm cache", `Quick, test_flow_hls_hook);
     ("trace spans + chrome json", `Quick, test_trace_spans_and_json);
     ("report rendering", `Quick, test_report_rendering);

@@ -201,35 +201,36 @@ let test_toolsim_anchors () =
   check Alcotest.bool "project ~50s" true
     (abs_float (Toolsim.project_gen_time ~cells:9 -. 47.6) < 5.0)
 
-let test_toolsim_hls_cache () =
-  let cache = Hashtbl.create 4 in
+let test_toolsim_reused_free () =
   let b1 =
-    Toolsim.estimate ~arch:"a1" ~dsl_lines:10
-      ~kernel_complexities:[ ("k1", 50); ("k2", 60) ]
-      ~hls_cache:cache ~cells:5 ~luts:5000
+    Toolsim.estimate_costed ~arch:"a1" ~dsl_lines:10
+      ~kernel_costs:
+        [ { Toolsim.kname = "k1"; complexity = 50; reused = false };
+          { Toolsim.kname = "k2"; complexity = 60; reused = false } ]
+      ~cells:5 ~luts:5000
   in
   let b2 =
-    Toolsim.estimate ~arch:"a2" ~dsl_lines:10
-      ~kernel_complexities:[ ("k1", 50) ] (* already synthesized *)
-      ~hls_cache:cache ~cells:5 ~luts:5000
+    Toolsim.estimate_costed ~arch:"a2" ~dsl_lines:10
+      ~kernel_costs:[ { Toolsim.kname = "k1"; complexity = 50; reused = true } ]
+      ~cells:5 ~luts:5000
   in
   let hls b = List.assoc Toolsim.Hls b.Toolsim.seconds in
   check Alcotest.bool "first run pays" true (hls b1 > 50.0);
   check (Alcotest.float 0.001) "cached run free" 0.0 (hls b2)
 
 let test_toolsim_total_positive () =
-  let cache = Hashtbl.create 4 in
   let b =
-    Toolsim.estimate ~arch:"a" ~dsl_lines:12 ~kernel_complexities:[ ("k", 40) ]
-      ~hls_cache:cache ~cells:6 ~luts:9000
+    Toolsim.estimate_costed ~arch:"a" ~dsl_lines:12
+      ~kernel_costs:[ { Toolsim.kname = "k"; complexity = 40; reused = false } ]
+      ~cells:6 ~luts:9000
   in
   check Alcotest.bool "total in minutes range" true
     (Toolsim.total b > 300.0 && Toolsim.total b < 1200.0)
 
 let test_flow_tool_times_use_shared_cache () =
-  let cache = Hashtbl.create 8 in
+  let hls = Soc_farm.Cache.hls_engine (Soc_farm.Cache.create ()) in
   let mk arch =
-    Flow.build ~hls_cache:cache (Soc_apps.Graphs.arch_spec arch)
+    Flow.build ~hls (Soc_apps.Graphs.arch_spec arch)
       ~kernels:(Soc_apps.Graphs.arch_kernels arch ~width:8 ~height:8)
   in
   (* Arch4 first, like the paper; then Arch1 reuses the histogram core. *)
@@ -292,7 +293,7 @@ let suite =
     ("boot manifest", `Quick, test_boot_manifest);
     ("dev entries", `Quick, test_dev_entries);
     ("toolsim anchors", `Quick, test_toolsim_anchors);
-    ("toolsim hls cache", `Quick, test_toolsim_hls_cache);
+    ("toolsim hls cache", `Quick, test_toolsim_reused_free);
     ("toolsim totals", `Quick, test_toolsim_total_positive);
     ("flow shares hls cache", `Quick, test_flow_tool_times_use_shared_cache);
     ("block diagram dot", `Quick, test_block_diagram_dot);

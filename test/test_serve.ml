@@ -139,8 +139,22 @@ let test_json_roundtrip () =
     cases
 
 let test_json_escapes () =
-  check Alcotest.string "control chars escaped" {|"\u0001\n"|}
-    (Protocol.to_string (Protocol.Str "\x01\n"));
+  (* One escaper (Soc_util.Json) serves the protocol codec, diagnostics,
+     traces and reports; every row must also parse back to the raw text. *)
+  List.iter
+    (fun (raw, body) ->
+      check Alcotest.string (Printf.sprintf "escape %S" raw) body (Soc_util.Json.escape raw);
+      check Alcotest.string (Printf.sprintf "protocol %S" raw) ("\"" ^ body ^ "\"")
+        (Protocol.to_string (Protocol.Str raw));
+      check Alcotest.bool (Printf.sprintf "diag message %S parses back" raw) true
+        (match Protocol.of_string (Diag.to_json (Diag.error ~code:"X" ~subject:"s" raw)) with
+        | Protocol.Obj fields -> List.assoc_opt "message" fields = Some (Protocol.Str raw)
+        | _ -> false))
+    [ ("\x01\n", {|\u0001\n|});
+      ("a\"b\\c", {|a\"b\\c|});
+      ("\r\t", {|\r\t|});
+      ("\x1f\x7f", {|\u001f|} ^ "\x7f");
+      ("caf\xc3\xa9", "caf\xc3\xa9") ];
   check Alcotest.bool "\\uXXXX decodes" true
     (Protocol.of_string {|"\u00e9"|} = Protocol.Str "\xc3\xa9");
   check Alcotest.bool "integral floats print as ints" true
@@ -613,6 +627,23 @@ let test_serve_check_gate () =
       check Alcotest.int "check rejections counted" 2 s.Protocol.rejected_check;
       check Alcotest.int "nothing admitted" 0 s.Protocol.submitted)
 
+let test_serve_rejects_unknown_kernel () =
+  (* A node with no kernel in the daemon's library is SOC020 at
+     admission. The analyzer sees the whole library; narrowed to the
+     spec's node names it would be empty here and skip the check. *)
+  let source =
+    In_channel.with_open_bin "../examples/broken/unknown_kernel.tg" In_channel.input_all
+  in
+  with_server (fun _srv client ->
+      (match Client.submit client source with
+      | Protocol.Rejected { reason = Protocol.Check_failed; diags; _ } ->
+        check Alcotest.bool "SOC020 diag travels" true
+          (List.exists (fun (d : Diag.t) -> d.Diag.code = "SOC020") diags)
+      | r ->
+        Alcotest.failf "expected Check_failed, got %s"
+          Protocol.(to_string (encode_response r)));
+      check Alcotest.int "nothing admitted" 0 (Client.stats client).Protocol.submitted)
+
 let test_serve_status_and_errors () =
   with_server (fun srv client ->
       (match Client.status client 424242 with
@@ -1067,6 +1098,7 @@ let suite =
     ("serve: queue overflow is a structured rejection", `Quick, test_serve_queue_overflow);
     ("serve: past-deadline request expires without work", `Quick, test_serve_deadline_expiry);
     ("serve: parse/check gate rejects with diagnostics", `Quick, test_serve_check_gate);
+    ("serve: unknown kernel rejected as SOC020", `Quick, test_serve_rejects_unknown_kernel);
     ("serve: status transitions and unknown ids", `Quick, test_serve_status_and_errors);
     ("serve: drain stops admission and reports", `Quick, test_serve_drain);
     ("serve: kill + restart recovers byte-identically", `Quick, test_serve_kill_and_restart);

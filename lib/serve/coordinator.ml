@@ -166,16 +166,18 @@ let connect (w : wrec) =
 
 (* One frame off a dispatch connection, in short select slices so the
    attempt can abandon (worker marked down, race settled) without
-   waiting on TCP. The receive-timeout backstop bounds a stall *inside*
-   a frame (partition after the header), where retrying the parse from
-   scratch would desynchronise the stream — there we give the whole
-   attempt up instead. *)
-let read_response fd ~give_up ~deadline ~max_len =
+   waiting on TCP. [slice ()] is the length of the next slice (at most
+   0.1 s), which lets the race end one at its hedge deadline. The
+   receive-timeout backstop bounds a stall *inside* a frame (partition
+   after the header), where retrying the parse from scratch would
+   desynchronise the stream — there we give the whole attempt up
+   instead. *)
+let read_response fd ~give_up ~slice ~deadline ~max_len =
   let rec wait_readable () =
     if give_up () then Error "abandoned"
     else if Unix.gettimeofday () > deadline then Error "attempt timed out"
     else
-      match Unix.select [ fd ] [] [] 0.1 with
+      match Unix.select [ fd ] [] [] (slice ()) with
       | [], _, _ -> wait_readable ()
       | _ -> (
         match Protocol.recv_checked ~max_len fd with
@@ -194,7 +196,7 @@ let read_response fd ~give_up ~deadline ~max_len =
    [sent_build] tells the caller whether the worker may hold in-flight
    work worth cancelling. Returns [Ok] for the worker's authoritative
    answer (either way) and [Error] for infrastructure trouble. *)
-let attempt t (w : wrec) ~source ~key ~deadline_ms ~give_up ~sent_build =
+let attempt t (w : wrec) ~source ~key ~deadline_ms ~give_up ~slice ~sent_build =
   let max_len = t.cfg.max_frame in
   let deadline = Unix.gettimeofday () +. (float_of_int t.cfg.rpc_timeout_ms /. 1000.0) in
   match connect w with
@@ -215,7 +217,7 @@ let attempt t (w : wrec) ~source ~key ~deadline_ms ~give_up ~sent_build =
         (Protocol.Hello { version = Protocol.protocol_version; peer = "coordinator" })
     in
     let rec handshake () =
-      let* j = read_response fd ~give_up ~deadline ~max_len in
+      let* j = read_response fd ~give_up ~slice ~deadline ~max_len in
       match Protocol.decode_response j with
       | Ok (Protocol.Hello_r _) -> Ok ()
       | Ok (Protocol.Rejected { reason = Protocol.Version_skew; detail; _ }) ->
@@ -227,7 +229,7 @@ let attempt t (w : wrec) ~source ~key ~deadline_ms ~give_up ~sent_build =
     let* () = send_req (Protocol.Build { source; key; deadline_ms }) in
     sent_build := true;
     let rec await () =
-      let* j = read_response fd ~give_up ~deadline ~max_len in
+      let* j = read_response fd ~give_up ~slice ~deadline ~max_len in
       match Protocol.decode_response j with
       | Ok (Protocol.Built_r { key = k; state; design; digest; manifest; wall_ms })
         when k = key -> (
@@ -264,12 +266,38 @@ let send_cancel t (w : wrec) ~key =
 
 (* ---------------- the race ---------------- *)
 
+(* [changed] is broadcast under [rmx] whenever [settled]/[active] move
+   or the hedge falls due, so [drive] sleeps until there is something to
+   decide instead of polling. The hedge clock needs no thread of its
+   own: attempts end their read slices at [hedge_at], and the first to
+   pass it sets [hedge_due]. *)
 type race = {
   rmx : Mutex.t;
+  changed : Condition.t;
+  hedge_at : float;  (* absolute; [infinity] when the race never hedges *)
   mutable settled : (outcome, string) result option;
   mutable active : int;
   mutable errors : string list;  (* newest first *)
+  mutable hedge_due : bool;
 }
+
+(* The next read slice of an attempt in [r]: up to the hedge deadline,
+   at most 0.1 s. Past the deadline it flags the hedge and wakes
+   [drive], once per race. *)
+let slice r () =
+  Mutex.lock r.rmx;
+  let now = Unix.gettimeofday () in
+  let s =
+    if r.hedge_due || r.settled <> None then 0.1
+    else if now >= r.hedge_at then begin
+      r.hedge_due <- true;
+      Condition.broadcast r.changed;
+      0.1
+    end
+    else Float.min 0.1 (r.hedge_at -. now)
+  in
+  Mutex.unlock r.rmx;
+  s
 
 let build t ~source ~key ?deadline_ms () : (outcome, string) result =
   let n = Array.length t.workers in
@@ -283,7 +311,25 @@ let build t ~source ~key ?deadline_ms () : (outcome, string) result =
     if up = [] then Error "fleet down: no live workers"
     else begin
       let order = Array.of_list (up @ dn) in
-      let race = { rmx = Mutex.create (); settled = None; active = 0; errors = [] } in
+      let hedge_threshold_ms =
+        match t.cfg.hedge_after_ms with
+        | Some ms -> Some ms
+        | None ->
+          (* Not enough latency signal yet: don't burn a replica on a
+             guess — cold builds always look like stragglers. *)
+          if Histogram.count t.hist >= 8 then
+            Some (Float.max t.cfg.hedge_min_ms (t.cfg.hedge_factor *. Histogram.p95 t.hist))
+          else None
+      in
+      let hedge_at =
+        match hedge_threshold_ms with
+        | Some ms when n > 1 -> Unix.gettimeofday () +. (ms /. 1000.0)
+        | _ -> infinity
+      in
+      let race =
+        { rmx = Mutex.create (); changed = Condition.create (); hedge_at;
+          settled = None; active = 0; errors = []; hedge_due = false }
+      in
       let launch ord =
         let w = order.(ord mod n) in
         Atomic.incr t.s_dispatches;
@@ -304,7 +350,9 @@ let build t ~source ~key ?deadline_ms () : (outcome, string) result =
                in
                let sent_build = ref false in
                let t0 = Unix.gettimeofday () in
-               let r = attempt t w ~source ~key ~deadline_ms ~give_up ~sent_build in
+               let r =
+                 attempt t w ~source ~key ~deadline_ms ~give_up ~slice:(slice race) ~sent_build
+               in
                let ms = 1000.0 *. (Unix.gettimeofday () -. t0) in
                Mutex.lock race.rmx;
                let won =
@@ -318,6 +366,7 @@ let build t ~source ~key ?deadline_ms () : (outcome, string) result =
                    false
                in
                race.active <- race.active - 1;
+               Condition.broadcast race.changed;
                Mutex.unlock race.rmx;
                if won then Histogram.observe t.hist ms
                else begin
@@ -331,23 +380,18 @@ let build t ~source ~key ?deadline_ms () : (outcome, string) result =
                end)
              ())
       in
-      let hedge_threshold_ms =
-        match t.cfg.hedge_after_ms with
-        | Some ms -> Some ms
-        | None ->
-          (* Not enough latency signal yet: don't burn a replica on a
-             guess — cold builds always look like stragglers. *)
-          if Histogram.count t.hist >= 8 then
-            Some (Float.max t.cfg.hedge_min_ms (t.cfg.hedge_factor *. Histogram.p95 t.hist))
-          else None
-      in
-      let started = Unix.gettimeofday () in
       launch 0;
       let launched = ref 1 in
       let hedged = ref false in
       let retries_done = ref 0 in
       let rec drive () =
         Mutex.lock race.rmx;
+        while
+          race.settled = None && race.active > 0
+          && not (race.hedge_due && not !hedged)
+        do
+          Condition.wait race.changed race.rmx
+        done;
         let settled = race.settled in
         let active = race.active in
         let errors = race.errors in
@@ -377,16 +421,11 @@ let build t ~source ~key ?deadline_ms () : (outcome, string) result =
                 | [] -> "fleet exhausted"
                 | es -> "fleet exhausted: " ^ String.concat "; " (List.rev es))
           else begin
-            (match hedge_threshold_ms with
-            | Some ms
-              when (not !hedged) && n > 1
-                   && 1000.0 *. (Unix.gettimeofday () -. started) > ms ->
-              hedged := true;
-              Atomic.incr t.s_hedges;
-              launch !launched;
-              incr launched
-            | _ -> ());
-            Thread.delay 0.02;
+            (* The hedge fell due with the first attempt still out. *)
+            hedged := true;
+            Atomic.incr t.s_hedges;
+            launch !launched;
+            incr launched;
             drive ()
           end
       in

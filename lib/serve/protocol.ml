@@ -288,18 +288,21 @@ let read_frame ?max_len fd =
 
 (* Labelled writes pass through the net-fault injector; unlabelled
    writes (ordinary client↔server traffic) never do. All verdicts are
-   implemented here so the injector itself stays pure bookkeeping. *)
+   implemented here so the injector itself stays pure bookkeeping.
+
+   Header and payload leave in one write: split into two small writes,
+   the payload would wait under Nagle's algorithm for the peer's delayed
+   ACK of the header — tens of milliseconds per frame on loopback. *)
 let write_frame ?link ?(max_len = max_frame_default) fd payload =
   let len = String.length payload in
   if len > max_len then
     raise (Framing_error (Printf.sprintf "refusing to send %d-byte frame (limit %d)" len max_len));
-  let hdr =
-    String.init 4 (fun i -> Char.chr ((len lsr ((3 - i) * 8)) land 0xFF))
-  in
-  let emit () =
-    write_all fd hdr 0 4;
-    write_all fd payload 0 len
-  in
+  let total = 4 + len in
+  let frame = Bytes.create total in
+  Bytes.set_int32_be frame 0 (Int32.of_int len);
+  Bytes.blit_string payload 0 frame 4 len;
+  let frame = Bytes.unsafe_to_string frame in
+  let emit () = write_all fd frame 0 total in
   match link with
   | None -> emit ()
   | Some link -> (
@@ -315,18 +318,14 @@ let write_frame ?link ?(max_len = max_frame_default) fd payload =
     | Truncate frac ->
       (* A torn frame: part of the bytes, then a half-close so the peer
          reads a hard EOF mid-frame instead of waiting forever. *)
-      let all = hdr ^ payload in
-      let total = 4 + len in
       let keep = max 1 (min (total - 1) (int_of_float (frac *. float_of_int total))) in
-      write_all fd all 0 keep;
+      write_all fd frame 0 keep;
       (try Unix.shutdown fd Unix.SHUTDOWN_SEND with Unix.Unix_error _ -> ())
     | Drip d ->
       (* The slow-drip socket: the full frame, seven bytes at a time. *)
-      let all = hdr ^ payload in
-      let total = 4 + len in
       let rec go off =
         if off < total then begin
-          write_all fd all off (min 7 (total - off));
+          write_all fd frame off (min 7 (total - off));
           Unix.sleepf d;
           go (off + 7)
         end

@@ -403,6 +403,32 @@ let test_coordinator_hedge () =
                          || Remote.cancel_hits w0 + Remote.cancel_hits w1 >= 1));
                   Fault.Service.release_hangs ()))))
 
+(* The dispatch loop sleeps on the race's condition, not a poll: a warm
+   build costs the worker's batch plus a round trip, with no dispatch
+   tick on top (a 20 ms poll alone would cost 400 ms here). *)
+let test_coordinator_warm_builds_fast () =
+  with_faults (fun () ->
+      let dir = fresh_dir "fleet-warm" in
+      with_worker ~cache_dir:dir (fun wk ->
+          with_coordinator
+            (coord_config [ ("127.0.0.1", Remote.port wk) ])
+            (fun co ->
+              let source = arch_source Graphs.Arch1 in
+              let build key =
+                match Coordinator.build co ~source ~key () with
+                | Ok (Coordinator.Built _) -> ()
+                | Ok (Coordinator.Build_failed m) -> Alcotest.fail ("build failed: " ^ m)
+                | Error e -> Alcotest.fail ("fleet exhausted: " ^ e)
+              in
+              build "warm";
+              let t0 = Unix.gettimeofday () in
+              for i = 1 to 20 do
+                build (Printf.sprintf "warm%d" i)
+              done;
+              let dt = Unix.gettimeofday () -. t0 in
+              if dt >= 0.3 then
+                Alcotest.failf "20 warm builds took %.0f ms (bound 300 ms)" (1000.0 *. dt))))
+
 (* ------------------------------------------------------------------ *)
 (* The server in fleet mode                                            *)
 (* ------------------------------------------------------------------ *)
@@ -527,6 +553,8 @@ let suite =
       test_coordinator_failover;
     Alcotest.test_case "coordinator: all workers down is an error" `Quick
       test_coordinator_all_down;
+    Alcotest.test_case "coordinator: warm builds pay no dispatch poll" `Quick
+      test_coordinator_warm_builds_fast;
     Alcotest.test_case "coordinator: stragglers are hedged, losers cancelled"
       `Quick test_coordinator_hedge;
     Alcotest.test_case "server: fleet manifest byte-matches direct farm" `Quick

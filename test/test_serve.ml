@@ -1074,6 +1074,18 @@ let test_serve_wire_fuzz () =
       let id, _ = submit_ok client (arch_source Graphs.Arch1) in
       ignore (result_done client id))
 
+(* Sequential round trips on one persistent connection must not stall
+   on the transport: a frame whose header and payload left in separate
+   writes waited out the peer's delayed ACK (~40 ms each way). *)
+let test_serve_ping_round_trips () =
+  with_server (fun _srv client ->
+      let t0 = Unix.gettimeofday () in
+      for _ = 1 to 50 do
+        check Alcotest.bool "ping" true (Client.ping client)
+      done;
+      let dt = Unix.gettimeofday () -. t0 in
+      if dt >= 1.0 then Alcotest.failf "50 pings took %.3f s (bound 1 s)" dt)
+
 let suite =
   [
     ("protocol json roundtrip", `Quick, test_json_roundtrip);
@@ -1116,5 +1128,6 @@ let suite =
     ("serve: session cap refuses politely", `Quick, test_serve_session_cap);
     ("serve: idle sessions reaped", `Quick, test_serve_idle_session_timeout);
     ("serve: wire abuse never takes the daemon down", `Quick, test_serve_wire_fuzz);
+    ("serve: 50 pings on one connection stay fast", `Quick, test_serve_ping_round_trips);
     qtest prop_json_roundtrip;
   ]

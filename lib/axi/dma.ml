@@ -133,7 +133,7 @@ let step_mm2s t =
           t.m_addr <- t.m_addr + len;
           t.m_remaining <- t.m_remaining - len;
           t.m_buffer <- Array.to_list data;
-          t.m_wait <- t.dram.Dram.first_word_latency
+          t.m_wait <- Dram.first_word_latency t.dram
         end
     end
   end
@@ -146,7 +146,7 @@ let step_s2mm t =
       (* Pay the write-burst issue latency when data is available. *)
       if not (Fifo.is_empty t.src) then begin
         t.s_credit <- min burst_len t.s_remaining;
-        t.s_wait <- t.s_dram.Dram.first_word_latency / 2
+        t.s_wait <- Dram.first_word_latency t.s_dram / 2
       end
     end
     else begin

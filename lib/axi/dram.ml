@@ -2,10 +2,23 @@
 
     Both the GPP and the DMA engines access it. Timing is modelled with a
     first-word latency plus a per-beat streaming rate, matching a DDR
-    controller servicing AXI bursts on the Zynq HP ports. *)
+    controller servicing AXI bursts on the Zynq HP ports.
+
+    The address space is backed by fixed-size pages, allocated zero-filled
+    on first write; a read of an untouched page returns 0. A system that
+    touches a few kilowords of a 4M-word DRAM then costs a few pages, not
+    the whole array. *)
+
+let page_bits = 12
+let page_words = 1 lsl page_bits
+let page_mask = page_words - 1
+
+(* Shared placeholder for every untouched page; never written. *)
+let absent : int array = [||]
 
 type t = {
-  words : int array;
+  size : int;
+  pages : int array array; (* [absent] until the page's first write *)
   first_word_latency : int; (* cycles from burst issue to first beat *)
   beats_per_cycle : int; (* sustained beats per cycle once streaming (>=1) *)
   mutable reads : int;
@@ -13,29 +26,37 @@ type t = {
 }
 
 let create ?(first_word_latency = 18) ?(beats_per_cycle = 1) ~words () =
+  if words < 0 then invalid_arg "Dram.create: negative size";
   {
-    words = Array.make words 0;
+    size = words;
+    pages = Array.make ((words + page_mask) lsr page_bits) absent;
     first_word_latency;
     beats_per_cycle;
     reads = 0;
     writes = 0;
   }
 
-let size t = Array.length t.words
+let size t = t.size
+let first_word_latency t = t.first_word_latency
+let reads t = t.reads
+let writes t = t.writes
 
 let check t addr op =
-  if addr < 0 || addr >= Array.length t.words then
+  if addr < 0 || addr >= t.size then
     invalid_arg (Printf.sprintf "Dram.%s: address %d out of range" op addr)
 
 let read t addr =
   check t addr "read";
   t.reads <- t.reads + 1;
-  t.words.(addr)
+  let page = t.pages.(addr lsr page_bits) in
+  if page == absent then 0 else page.(addr land page_mask)
 
 let write t addr v =
   check t addr "write";
   t.writes <- t.writes + 1;
-  t.words.(addr) <- Soc_util.Bits.truncate ~width:32 v
+  let p = addr lsr page_bits in
+  if t.pages.(p) == absent then t.pages.(p) <- Array.make page_words 0;
+  t.pages.(p).(addr land page_mask) <- Soc_util.Bits.truncate ~width:32 v
 
 let read_block t ~addr ~len = Array.init len (fun i -> read t (addr + i))
 

@@ -1,11 +1,17 @@
 (** Threaded-code executor for compiled {!Tape} programs.
 
     Presents the exact {!Soc_rtl.Sim} interface. The tape's two programs are
-    packed into flat stride-6 [int array]s at creation; the dispatch loop
-    inlines the 32-bit operator semantics of {!Soc_kernel.Semantics} (the
-    differential qcheck oracle in the test suite pins the two together).
-    All per-cycle state lives in preallocated arrays — a settle+tick cycle
-    allocates nothing.
+    packed into flat stride-6 [int array]s; the dispatch loop inlines the
+    32-bit operator semantics of {!Soc_kernel.Semantics} (the differential
+    qcheck oracle in the test suite pins the two together). All per-cycle
+    state lives in preallocated arrays — a settle+tick cycle allocates
+    nothing.
+
+    A simulator is split in two. The {!program} — packed code, reset
+    images and the specialized tick variants — depends only on the tape
+    and its netlist, so it is built once and shared by every instance of
+    that netlist through a process-wide table. An instance ({!t}) owns only
+    its store, memory arrays, scratch and cycle count.
 
     The tick tape executes as prologue + gated segments: the prologue
     (register enables, memory read addresses and write enables) always
@@ -34,25 +40,33 @@ type variant = {
   v_mem : int array; (* stride 8, wen may be -1 / -2 *)
 }
 
-type t = {
-  net : Netlist.t;
+(* Everything derived from a (tape, netlist) pair: checked, packed and
+   tick-specialized once, then shared read-only by every instance of that
+   netlist (see the program table below). *)
+type program = {
   tape : Tape.t;
-  store : int array;
   inputs : bool array; (* by sid: may this slot be driven via set_input? *)
   settle_code : int array; (* packed: op, dst, a, b, c, msk *)
   tick_code : int array;
   prologue_end : int; (* packed length of the unconditional tick prefix *)
   reg_code : int array; (* packed: q, next, en, reset, seg_off, seg_end *)
   mem_code : int array; (* packed: raddr, wen, waddr, wdata, rdata, size, seg_off, seg_end *)
-  mem_data : int array array; (* per memory, in netlist order *)
-  mem_tbl : (string, int array) Hashtbl.t;
-  reg_scratch : int array;
-  mem_rd_scratch : int array;
-  mem_wr_scratch : int array; (* waddr (or -1), wdata; stride 2 *)
+  mem_names : string array; (* in netlist order *)
+  mem_init : int array array; (* reset contents, per memory *)
+  store_init : int array; (* reset store: constants and register reset values *)
   spec_slot : int; (* dispatch register's store slot, or -1 = no specialization *)
   spec_mask : int;
   spec : variant array; (* indexed by the dispatch register's value *)
-  spec_consts : (int * int) array; (* extra pool constants minted by specialization *)
+}
+
+(* One simulator instance: the shared program plus its own mutable state. *)
+type t = {
+  prog : program;
+  store : int array;
+  mem_data : int array array; (* per memory, in netlist order *)
+  reg_scratch : int array;
+  mem_rd_scratch : int array;
+  mem_wr_scratch : int array; (* waddr (or -1), wdata; stride 2 *)
   mutable cycle : int;
 }
 
@@ -133,10 +147,6 @@ let run_range store code lo hi =
   done
 
 let run_code store code = run_range store code 0 (Array.length code)
-
-let apply_consts t =
-  Array.iter (fun (slot, v) -> t.store.(slot) <- v) t.tape.consts;
-  Array.iter (fun (slot, v) -> t.store.(slot) <- v) t.spec_consts
 
 (* ------------------------------------------------------------------ *)
 (* Tick specialization                                                 *)
@@ -223,31 +233,13 @@ let pack_variant (mems_arr : Netlist.mem array) (sp : Opt.tick_spec) =
     v_reg;
     v_mem }
 
-let init_state t =
-  apply_consts t;
-  let rc = t.reg_code in
-  for r = 0 to (Array.length rc / 6) - 1 do
-    t.store.(rc.(6 * r)) <- rc.((6 * r) + 3)
-  done;
-  List.iteri
-    (fun idx (m : Netlist.mem) ->
-      let data = t.mem_data.(idx) in
-      match m.init with
-      | Some init ->
-        for i = 0 to m.size - 1 do
-          data.(i) <-
-            (if i < Array.length init then init.(i) land Soc_util.Bits.mask m.mem_width else 0)
-        done
-      | None -> Array.fill data 0 (Array.length data) 0)
-    t.net.mems
-
-(* Instantiate a compiled tape against the netlist it was lowered from.
-   Memory geometry and backing arrays come from the netlist (the tape is
-   content-addressed by the netlist, so they can never disagree on a cache
-   hit — the checks below catch a corrupt or mis-keyed entry), and every
-   slot index and segment range is bounds-checked here because the
+(* Check a (possibly cache-loaded) tape against the netlist it was looked
+   up for. Memory geometry and backing arrays come from the netlist (the
+   tape is content-addressed by the netlist, so they can never disagree on
+   a cache hit — these checks catch a corrupt or mis-keyed entry), and
+   every slot index and segment range is bounds-checked here because the
    dispatch loop runs unchecked. *)
-let of_tape (tape : Tape.t) (net : Netlist.t) =
+let check_tape (tape : Tape.t) (net : Netlist.t) =
   if tape.n_signals <> Netlist.signal_count net then
     raise (Tape_mismatch "signal count");
   if Array.length tape.mem_commits <> List.length net.mems then
@@ -274,15 +266,33 @@ let of_tape (tape : Tape.t) (net : Netlist.t) =
     if len < 0 || off < tape.prologue || off + len > n_tick then
       raise (Tape_mismatch "segment range")
   in
-  let n_regs = Array.length tape.reg_commits in
-  let n_mems = Array.length tape.mem_commits in
-  let reg_code = Array.make (6 * n_regs) 0 in
-  Array.iteri
-    (fun i (r : Tape.reg_commit) ->
+  Array.iter
+    (fun (r : Tape.reg_commit) ->
       check "reg q" r.rc_q;
       check "reg next" r.rc_next;
       if r.rc_en >= 0 then check "reg enable" r.rc_en;
-      check_seg r.rc_off r.rc_len;
+      check_seg r.rc_off r.rc_len)
+    tape.reg_commits;
+  Array.iteri
+    (fun i (m : Tape.mem_commit) ->
+      (* The lowering emits commits in netlist memory order; [tick] and
+         the reset images index the backing arrays by that position. *)
+      if m.mc_mem <> i then raise (Tape_mismatch "memory order");
+      check "mem raddr" m.mc_raddr;
+      check "mem wen" m.mc_wen;
+      check "mem waddr" m.mc_waddr;
+      check "mem wdata" m.mc_wdata;
+      check "mem rdata" m.mc_rdata;
+      check_seg m.mc_off m.mc_len)
+    tape.mem_commits
+
+(* Pack a checked tape and specialize its tick program: the expensive,
+   instance-independent half of instantiation. *)
+let build_program (tape : Tape.t) (net : Netlist.t) =
+  let mems_arr = Array.of_list net.mems in
+  let reg_code = Array.make (6 * Array.length tape.reg_commits) 0 in
+  Array.iteri
+    (fun i (r : Tape.reg_commit) ->
       reg_code.(6 * i) <- r.rc_q;
       reg_code.((6 * i) + 1) <- r.rc_next;
       reg_code.((6 * i) + 2) <- r.rc_en;
@@ -290,19 +300,9 @@ let of_tape (tape : Tape.t) (net : Netlist.t) =
       reg_code.((6 * i) + 4) <- 6 * r.rc_off;
       reg_code.((6 * i) + 5) <- 6 * (r.rc_off + r.rc_len))
     tape.reg_commits;
-  let mem_code = Array.make (8 * n_mems) 0 in
-  let mems_arr = Array.of_list net.mems in
+  let mem_code = Array.make (8 * Array.length tape.mem_commits) 0 in
   Array.iteri
     (fun i (m : Tape.mem_commit) ->
-      (* The lowering emits commits in netlist memory order; [tick] and
-         [init_state] index the backing arrays by that position. *)
-      if m.mc_mem <> i then raise (Tape_mismatch "memory order");
-      check "mem raddr" m.mc_raddr;
-      check "mem wen" m.mc_wen;
-      check "mem waddr" m.mc_waddr;
-      check "mem wdata" m.mc_wdata;
-      check "mem rdata" m.mc_rdata;
-      check_seg m.mc_off m.mc_len;
       mem_code.(8 * i) <- m.mc_raddr;
       mem_code.((8 * i) + 1) <- m.mc_wen;
       mem_code.((8 * i) + 2) <- m.mc_waddr;
@@ -312,9 +312,6 @@ let of_tape (tape : Tape.t) (net : Netlist.t) =
       mem_code.((8 * i) + 6) <- 6 * m.mc_off;
       mem_code.((8 * i) + 7) <- 6 * (m.mc_off + m.mc_len))
     tape.mem_commits;
-  let mem_data = Array.map (fun (m : Netlist.mem) -> Array.make m.size 0) mems_arr in
-  let mem_tbl = Hashtbl.create 4 in
-  Array.iteri (fun i (m : Netlist.mem) -> Hashtbl.replace mem_tbl m.mem_name mem_data.(i)) mems_arr;
   let inputs = Array.make (max 1 tape.n_signals) false in
   List.iter (fun (s : Netlist.signal) -> inputs.(s.sid) <- true) net.inputs;
   let spec_slot, spec_mask, spec, spec_consts, n_slots =
@@ -324,31 +321,93 @@ let of_tape (tape : Tape.t) (net : Netlist.t) =
       let variants, extra, n_slots = Opt.specialize_tick tape ~slot ~width in
       (slot, (1 lsl width) - 1, Array.map (pack_variant mems_arr) variants, extra, n_slots)
   in
-  let t =
-    {
-      net;
-      tape;
-      store = Array.make (max tape.n_slots n_slots) 0;
-      inputs;
-      settle_code = pack_code tape.settle;
-      tick_code = pack_code tape.tick;
-      prologue_end = 6 * tape.prologue;
-      reg_code;
-      mem_code;
-      mem_data;
-      mem_tbl;
-      reg_scratch = Array.make n_regs disabled;
-      mem_rd_scratch = Array.make n_mems 0;
-      mem_wr_scratch = Array.make (2 * n_mems) (-1);
-      spec_slot;
-      spec_mask;
-      spec;
-      spec_consts;
-      cycle = 0;
-    }
+  let store_init = Array.make (max tape.n_slots n_slots) 0 in
+  Array.iter (fun (slot, v) -> store_init.(slot) <- v) tape.consts;
+  Array.iter (fun (slot, v) -> store_init.(slot) <- v) spec_consts;
+  Array.iter (fun (r : Tape.reg_commit) -> store_init.(r.rc_q) <- r.rc_reset) tape.reg_commits;
+  let mem_init =
+    Array.map
+      (fun (m : Netlist.mem) ->
+        match m.init with
+        | Some init ->
+          Array.init m.size (fun i ->
+              if i < Array.length init then init.(i) land Soc_util.Bits.mask m.mem_width else 0)
+        | None -> Array.make m.size 0)
+      mems_arr
   in
-  init_state t;
-  t
+  {
+    tape;
+    inputs;
+    settle_code = pack_code tape.settle;
+    tick_code = pack_code tape.tick;
+    prologue_end = 6 * tape.prologue;
+    reg_code;
+    mem_code;
+    mem_names = Array.map (fun (m : Netlist.mem) -> m.mem_name) mems_arr;
+    mem_init;
+    store_init;
+    spec_slot;
+    spec_mask;
+    spec;
+  }
+
+(* ------------------------------------------------------------------ *)
+(* Program table                                                       *)
+(* ------------------------------------------------------------------ *)
+
+(* Programs live for the whole process in a small fixed-capacity table
+   keyed by {!Tape.netlist_key}, oldest entry evicted first. An entry is
+   reused only for a structurally equal tape: the same netlist lowered
+   with other observed signals is another program, with its own entry.
+   Building happens under the lock, so concurrent instantiations of one
+   netlist build its program once. *)
+let table_capacity = 64
+let table : (string * program) option array = Array.make table_capacity None
+let table_next = ref 0
+let table_lock = Mutex.create ()
+
+let builds = Atomic.make 0
+let program_builds () = Atomic.get builds
+
+let clear_programs () =
+  Mutex.protect table_lock (fun () ->
+      Array.fill table 0 table_capacity None;
+      table_next := 0)
+
+let program_for ~key (tape : Tape.t) net =
+  Mutex.protect table_lock (fun () ->
+      let rec find i =
+        if i = table_capacity then None
+        else
+          match table.(i) with
+          | Some (k, p) when String.equal k key && (p.tape == tape || p.tape = tape) -> Some p
+          | _ -> find (i + 1)
+      in
+      match find 0 with
+      | Some p -> p
+      | None ->
+        let p = build_program tape net in
+        Atomic.incr builds;
+        table.(!table_next) <- Some (key, p);
+        table_next := (!table_next + 1) mod table_capacity;
+        p)
+
+(* Instantiate a compiled tape against the netlist it was lowered from:
+   check it, fetch (or build) its program, and give the instance fresh
+   state. *)
+let of_tape (tape : Tape.t) (net : Netlist.t) =
+  check_tape tape net;
+  let prog = program_for ~key:(Tape.netlist_key net) tape net in
+  let n_regs = Array.length tape.reg_commits and n_mems = Array.length tape.mem_commits in
+  {
+    prog;
+    store = Array.copy prog.store_init;
+    mem_data = Array.map Array.copy prog.mem_init;
+    reg_scratch = Array.make n_regs disabled;
+    mem_rd_scratch = Array.make n_mems 0;
+    mem_wr_scratch = Array.make (2 * n_mems) (-1);
+    cycle = 0;
+  }
 
 (* The verified compilation pipeline: lower, validate the lowering, then
    run the optimizer with the translation validator checkpointed after
@@ -370,19 +429,26 @@ let compile_tape ?observe net =
 
 let create ?observe net = of_tape (compile_tape ?observe net) net
 
-let tape t = t.tape
-let stats t = t.tape.stats
+let tape t = t.prog.tape
+let stats t = t.prog.tape.stats
 
 let set_input t (s : Netlist.signal) v =
-  if s.sid < 0 || s.sid >= Array.length t.inputs || not t.inputs.(s.sid) then
+  let inputs = t.prog.inputs in
+  if s.sid < 0 || s.sid >= Array.length inputs || not inputs.(s.sid) then
     invalid_arg ("Csim.set_input: " ^ s.sname ^ " is not an input");
   t.store.(s.sid) <- v land Soc_util.Bits.mask s.width
 
-let settle t = run_code t.store t.settle_code
+let settle t = run_code t.store t.prog.settle_code
 
 let value t (s : Netlist.signal) = t.store.(s.sid)
 
-let mem_contents t name = Hashtbl.find_opt t.mem_tbl name
+(* The last memory of that name, as a name-keyed table would keep it. *)
+let mem_contents t name =
+  let names = t.prog.mem_names in
+  let rec find i =
+    if i < 0 then None else if String.equal names.(i) name then Some t.mem_data.(i) else find (i - 1)
+  in
+  find (Array.length names - 1)
 
 (* Clock edge, mirroring Sim.tick phase for phase: run the prologue, run
    each enabled segment and gather its register next / memory port into
@@ -441,15 +507,17 @@ let tick_with t code prologue_end rc mc =
   t.cycle <- t.cycle + 1
 
 let tick t =
-  if t.spec_slot >= 0 then begin
-    let v = t.spec.(t.store.(t.spec_slot) land t.spec_mask) in
+  let p = t.prog in
+  if p.spec_slot >= 0 then begin
+    let v = p.spec.(t.store.(p.spec_slot) land p.spec_mask) in
     tick_with t v.v_code v.v_prologue_end v.v_reg v.v_mem
   end
-  else tick_with t t.tick_code t.prologue_end t.reg_code t.mem_code
+  else tick_with t p.tick_code p.prologue_end p.reg_code p.mem_code
 
 let cycle t = t.cycle
 
 let reset t =
-  Array.fill t.store 0 (Array.length t.store) 0;
-  init_state t;
+  let p = t.prog in
+  Array.blit p.store_init 0 t.store 0 (Array.length t.store);
+  Array.iteri (fun i init -> Array.blit init 0 t.mem_data.(i) 0 (Array.length init)) p.mem_init;
   t.cycle <- 0

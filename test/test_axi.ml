@@ -97,6 +97,86 @@ let test_dram_burst_cycles () =
   check Alcotest.int "zero burst" 0 (Dram.burst_cycles d ~len:0);
   check Alcotest.int "16-beat burst" 26 (Dram.burst_cycles d ~len:16)
 
+(* Paged DRAM against a slow oracle: a flat int array with the same
+   contract — word-by-word blocks, 32-bit truncation, per-word counters,
+   and the same out-of-range error after the in-range prefix of a block. *)
+type dram_op =
+  | Rd of int
+  | Wr of int * int
+  | Rd_block of int * int
+  | Wr_block of int * int array
+
+let show_dram_op = function
+  | Rd a -> Printf.sprintf "read %d" a
+  | Wr (a, v) -> Printf.sprintf "write %d %d" a v
+  | Rd_block (a, n) -> Printf.sprintf "read_block %d+%d" a n
+  | Wr_block (a, d) -> Printf.sprintf "write_block %d+%d" a (Array.length d)
+
+module Flat_dram = struct
+  type t = { words : int array; mutable reads : int; mutable writes : int }
+
+  let create n = { words = Array.make n 0; reads = 0; writes = 0 }
+
+  let check t a op =
+    if a < 0 || a >= Array.length t.words then
+      invalid_arg (Printf.sprintf "Dram.%s: address %d out of range" op a)
+
+  let read t a = check t a "read"; t.reads <- t.reads + 1; t.words.(a)
+  let write t a v = check t a "write"; t.writes <- t.writes + 1; t.words.(a) <- v land 0xFFFF_FFFF
+end
+
+let dram_case_gen =
+  let open QCheck.Gen in
+  let page = Dram.page_words in
+  oneofl [ 0; 5; page; (2 * page) + 1; (3 * page) + 17 ] >>= fun size ->
+  (* Addresses concentrate where paging can go wrong: page edges, the
+     last word, just past the end and below zero. *)
+  let addr =
+    frequency
+      [ (3, int_range 0 (max 0 (size - 1)));
+        (3, map2 (fun k d -> (k * page) + d) (int_range 0 3) (int_range (-3) 3));
+        (2, map (fun d -> size - 1 - d) (int_range 0 4));
+        (1, map (fun d -> size + d) (int_range 0 3));
+        (1, int_range (-3) (-1)) ]
+  in
+  let value = oneof [ int; int_range 0 0xFFFF; return (-1); return 0x1_0000_0000 ] in
+  let op =
+    frequency
+      [ (3, map (fun a -> Rd a) addr);
+        (3, map2 (fun a v -> Wr (a, v)) addr value);
+        (2, map2 (fun a n -> Rd_block (a, n)) addr (int_range 0 9));
+        (2, map2 (fun a d -> Wr_block (a, d)) addr (array_size (int_range 0 9) value)) ]
+  in
+  pair (return size) (list_size (int_range 1 60) op)
+
+let prop_paged_dram_matches_flat =
+  QCheck.Test.make ~name:"paged DRAM = flat array" ~count:300
+    (QCheck.make dram_case_gen ~print:(fun (size, ops) ->
+         Printf.sprintf "size %d: %s" size (String.concat "; " (List.map show_dram_op ops))))
+    (fun (size, ops) ->
+      let d = Dram.create ~words:size () and m = Flat_dram.create size in
+      let outcome f = match f () with v -> Ok v | exception Invalid_argument e -> Error e in
+      let step op =
+        let got, want =
+          match op with
+          | Rd a ->
+            (outcome (fun () -> [| Dram.read d a |]), outcome (fun () -> [| Flat_dram.read m a |]))
+          | Wr (a, v) ->
+            ( outcome (fun () -> Dram.write d a v; [||]),
+              outcome (fun () -> Flat_dram.write m a v; [||]) )
+          | Rd_block (a, n) ->
+            ( outcome (fun () -> Dram.read_block d ~addr:a ~len:n),
+              outcome (fun () -> Array.init n (fun i -> Flat_dram.read m (a + i))) )
+          | Wr_block (a, data) ->
+            ( outcome (fun () -> Dram.write_block d ~addr:a data; [||]),
+              outcome (fun () -> Array.iteri (fun i v -> Flat_dram.write m (a + i) v) data; [||]) )
+        in
+        got = want && Dram.reads d = m.Flat_dram.reads && Dram.writes d = m.Flat_dram.writes
+      in
+      List.for_all step ops
+      && Dram.size d = size
+      && Dram.read_block d ~addr:0 ~len:size = m.Flat_dram.words)
+
 (* ------------------------------------------------------------------ *)
 (* AXI-Lite                                                            *)
 (* ------------------------------------------------------------------ *)
@@ -391,6 +471,7 @@ let suite =
     ("dram block ops", `Quick, test_dram_block_ops);
     ("dram bounds", `Quick, test_dram_bounds);
     ("dram burst cycles", `Quick, test_dram_burst_cycles);
+    qtest prop_paged_dram_matches_flat;
     ("lite attach/decode", `Quick, test_lite_attach_and_decode);
     ("lite decode error", `Quick, test_lite_decode_error);
     ("lite bus read/write", `Quick, test_lite_bus_rw);

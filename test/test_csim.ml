@@ -393,6 +393,101 @@ let test_engine_degradation_ladder () =
         (Engine.backend_of e3 = Engine.Compiled))
 
 (* ------------------------------------------------------------------ *)
+(* Shared programs: one build per netlist, independent instances       *)
+(* ------------------------------------------------------------------ *)
+
+(* Two compiled instances of one netlist share its program (built once)
+   and nothing mutable: each runs in lockstep with its own interpreter on
+   its own inputs, through a mid-run reset of one of them. *)
+let shared_program_run seed =
+  let net, inputs = random_netlist seed in
+  Csim.clear_programs ();
+  let b0 = Csim.program_builds () in
+  let ea = Engine.create ~backend:Engine.Compiled net in
+  let eb = Engine.create ~backend:Engine.Compiled net in
+  if Engine.backend_of ea <> Engine.Compiled || Engine.backend_of eb <> Engine.Compiled then
+    Alcotest.failf "seed %d: compiled backend fell back" seed;
+  if Csim.program_builds () - b0 <> 1 then
+    Alcotest.failf "seed %d: %d program builds for one netlist" seed (Csim.program_builds () - b0);
+  let sa = Sim.create net and sb = Sim.create net in
+  let rng = Soc_util.Rng.create (seed lxor 0x2545f491) in
+  let observed =
+    net.NL.outputs
+    @ List.map (fun (r : NL.reg) -> r.NL.q) net.NL.regs
+    @ List.map (fun (m : NL.mem) -> m.NL.rdata) net.NL.mems
+  in
+  let agree tag cyc e sim =
+    List.iter
+      (fun s ->
+        if Engine.value e s <> Sim.value sim s then
+          Alcotest.failf "seed %d cycle %d instance %s: %s interp=%d compiled=%d" seed cyc tag
+            s.NL.sname (Sim.value sim s) (Engine.value e s))
+      observed;
+    List.iter
+      (fun (m : NL.mem) ->
+        if Engine.mem_contents e m.NL.mem_name <> Sim.mem_contents sim m.NL.mem_name then
+          Alcotest.failf "seed %d cycle %d instance %s: memory %s diverged" seed cyc tag
+            m.NL.mem_name)
+      net.NL.mems;
+    if Engine.cycle e <> Sim.cycle sim then
+      Alcotest.failf "seed %d instance %s: cycle count diverged" seed tag
+  in
+  for cyc = 1 to 24 do
+    if cyc = 12 then begin
+      Engine.reset ea;
+      Sim.reset sa;
+      agree "a (reset)" cyc ea sa
+    end;
+    List.iter
+      (fun i ->
+        let v = Soc_util.Rng.int rng 0x40000000 and w = Soc_util.Rng.int rng 0x40000000 in
+        Engine.set_input ea i v;
+        Sim.set_input sa i v;
+        Engine.set_input eb i w;
+        Sim.set_input sb i w)
+      inputs;
+    List.iter Engine.settle [ ea; eb ];
+    List.iter Sim.settle [ sa; sb ];
+    agree "a" cyc ea sa;
+    agree "b" cyc eb sb;
+    List.iter Engine.tick [ ea; eb ];
+    List.iter Sim.tick [ sa; sb ]
+  done;
+  agree "a" 25 ea sa;
+  agree "b" 25 eb sb;
+  true
+
+let test_shared_program_instances_independent =
+  QCheck.Test.make ~count:40 ~name:"instances sharing a program stay independent"
+    QCheck.(make Gen.(0 -- 100_000))
+    shared_program_run
+
+(* A program is reused only for a structurally equal tape: observing an
+   otherwise dead signal lowers another tape, hence another program. *)
+let test_program_reuse_needs_equal_tape () =
+  let net = NL.create "observe" in
+  let x = NL.input net ~name:"x" ~width:32 in
+  let dead = NL.fresh net ~name:"dead" ~width:32 in
+  NL.assign net dead (NL.Bin (Soc_kernel.Ast.Mul, NL.Ref x, NL.Const (99, 32)));
+  let o = NL.output net ~name:"o" ~width:32 in
+  NL.assign net o (NL.Ref x);
+  Csim.clear_programs ();
+  let b0 = Csim.program_builds () in
+  let plain = Csim.create net in
+  ignore (Csim.create net);
+  check Alcotest.int "equal tapes share one program" (b0 + 1) (Csim.program_builds ());
+  let seen = Csim.create ~observe:[ dead ] net in
+  check Alcotest.int "another tape builds another program" (b0 + 2) (Csim.program_builds ());
+  ignore (Csim.create net);
+  check Alcotest.int "both stay in the table" (b0 + 2) (Csim.program_builds ());
+  Csim.set_input plain x 3;
+  Csim.set_input seen x 3;
+  Csim.settle plain;
+  Csim.settle seen;
+  check Alcotest.int "observed signal computed" 297 (Csim.value seen dead);
+  check Alcotest.int "output unaffected" 3 (Csim.value plain o)
+
+(* ------------------------------------------------------------------ *)
 (* VCD byte-identity on a real HLS netlist (Otsu grayScale)            *)
 (* ------------------------------------------------------------------ *)
 
@@ -453,6 +548,9 @@ let suite =
       test_tape_cache_corruption_quarantined;
     Alcotest.test_case "engine degradation ladder: compiled -> interp" `Quick
       test_engine_degradation_ladder;
+    qtest test_shared_program_instances_independent;
+    Alcotest.test_case "program reuse needs a structurally equal tape" `Quick
+      test_program_reuse_needs_equal_tape;
     Alcotest.test_case "VCD byte-identical across backends (Otsu)" `Quick
       test_vcd_byte_identical_on_otsu;
   ]

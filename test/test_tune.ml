@@ -221,6 +221,61 @@ let test_greedy_matches_legacy_trajectory () =
   let best = Option.get (Render.winner o.Tuner.search) in
   check Alcotest.int "greedy endpoint cycles match legacy" 9821 best.Search.cycles
 
+let rtl_evolve_opts seed =
+  { (small_opts (Search.Evolve { population = 8; generations = 4 }) seed) with
+    Tuner.mode = `Rtl }
+
+(* The compiled co-simulation backend is an optimization, never a change
+   of answer: the same RTL sweep under the reference interpreter renders
+   the same frontier, byte for byte. *)
+let test_rtl_sweep_backend_identical () =
+  let module Sim_engine = Soc_rtl_compile.Engine in
+  let saved = Sim_engine.default_backend () in
+  Fun.protect
+    ~finally:(fun () -> Sim_engine.set_default_backend saved)
+    (fun () ->
+      let sweep backend =
+        Sim_engine.set_default_backend backend;
+        let o = Tuner.run ~cache:(Cache.create ()) (rtl_evolve_opts 3) in
+        check Alcotest.bool "no failures" true (o.Tuner.search.Search.failures = []);
+        Render.frontier_json o.Tuner.search
+      in
+      let interp = sweep Sim_engine.Interp in
+      check Alcotest.string "frontier JSON identical across backends" interp
+        (sweep Sim_engine.Compiled))
+
+(* One sweep builds one simulator program per distinct netlist, whether
+   instantiations reuse a cached tape or lower afresh every time. The
+   tape cache's store count is the number of distinct netlists. *)
+let test_sweep_one_program_per_netlist () =
+  let module Sim_engine = Soc_rtl_compile.Engine in
+  let module Csim = Soc_rtl_compile.Csim in
+  let opts = rtl_evolve_opts 5 in
+  let builds f =
+    Csim.clear_programs ();
+    let b0 = Csim.program_builds () in
+    let o = f () in
+    check Alcotest.bool "no failures" true (o.Tuner.search.Search.failures = []);
+    (Csim.program_builds () - b0, Render.frontier_json o.Tuner.search)
+  in
+  let distinct, (cached_builds, cached_frontier) =
+    Fun.protect
+      ~finally:(fun () -> Sim_engine.install_tape_cache None)
+      (fun () ->
+        let cache = Cache.create () in
+        Cache.enable_tape_cache cache;
+        let r = builds (fun () -> Tuner.run ~cache opts) in
+        ((Cache.tape_stats cache).Cache.tape_stores, r))
+  in
+  check Alcotest.bool "the sweep simulated hardware" true (distinct > 0);
+  check Alcotest.int "tape cache: one program per netlist" distinct cached_builds;
+  let l0 = Sim_engine.lowering_count () in
+  let fresh_builds, fresh_frontier = builds (fun () -> Tuner.run ~cache:(Cache.create ()) opts) in
+  check Alcotest.bool "no tape cache: every instantiation lowers" true
+    (Sim_engine.lowering_count () - l0 > distinct);
+  check Alcotest.int "no tape cache: one program per netlist" distinct fresh_builds;
+  check Alcotest.string "same frontier either way" cached_frontier fresh_frontier
+
 (* ------------------------------------------------------------------ *)
 (* Streaming explore over a live daemon                                *)
 (* ------------------------------------------------------------------ *)
@@ -304,6 +359,10 @@ let suite =
     Alcotest.test_case "warm re-sweep fewer invocations" `Quick test_warm_resweep_fewer_invocations;
     Alcotest.test_case "budget gate prunes pre-HLS" `Quick test_budget_gate_prunes_pre_hls;
     Alcotest.test_case "greedy matches legacy trajectory" `Quick test_greedy_matches_legacy_trajectory;
+    Alcotest.test_case "RTL sweep identical across sim backends" `Quick
+      test_rtl_sweep_backend_identical;
+    Alcotest.test_case "sweep builds one program per netlist" `Quick
+      test_sweep_one_program_per_netlist;
     Alcotest.test_case "serve explore round trip" `Quick test_serve_explore_round_trip;
     Alcotest.test_case "protocol explore codecs" `Quick test_protocol_explore_codecs;
   ]

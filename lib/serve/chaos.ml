@@ -270,16 +270,9 @@ let run (cfg : config) : report =
         match Soc_core.Parser.parse ~validate:false g0 with
         | exception _ -> ""
         | spec ->
-          let kernels =
-            List.filter
-              (fun (name, _) ->
-                List.exists
-                  (fun (n : Soc_core.Spec.node_spec) -> n.Soc_core.Spec.node_name = name)
-                  spec.Soc_core.Spec.nodes)
-              cfg.kernels
-          in
           Farm.manifest_json
-            (Farm.build_batch ~jobs:1 [ { Soc_farm.Jobgraph.spec; kernels } ])
+            (Farm.build_batch ~jobs:1
+               [ Soc_farm.Jobgraph.entry_of ~library:cfg.kernels spec ])
       in
       let served =
         with_client (port ()) (fun c ->
@@ -494,17 +487,9 @@ let run_fleet (cfg : fleet_config) : report =
             match Soc_core.Parser.parse ~validate:false src with
             | exception _ -> ""
             | spec ->
-              let kernels =
-                List.filter
-                  (fun (name, _) ->
-                    List.exists
-                      (fun (nd : Soc_core.Spec.node_spec) ->
-                        nd.Soc_core.Spec.node_name = name)
-                      spec.Soc_core.Spec.nodes)
-                  cfg.fkernels
-              in
               Farm.manifest_json
-                (Farm.build_batch ~jobs:1 ~cache [ { Soc_farm.Jobgraph.spec; kernels } ]))
+                (Farm.build_batch ~jobs:1 ~cache
+                   [ Soc_farm.Jobgraph.entry_of ~library:cfg.fkernels spec ]))
           srcs
       in
       let parity = List.for_all2 (fun d m -> d <> "" && d = m) direct refs in

@@ -6,15 +6,9 @@ exception Error of string
 type t = { fd : Unix.file_descr; max_frame : int }
 
 let connect ?(host = "127.0.0.1") ?(max_frame = Protocol.max_frame_default) ~port () =
-  let fd = Unix.socket Unix.PF_INET Unix.SOCK_STREAM 0 in
-  (try Unix.connect fd (Unix.ADDR_INET (Unix.inet_addr_of_string host, port))
-   with e ->
-     (try Unix.close fd with Unix.Unix_error _ -> ());
-     (match e with
-     | Unix.Unix_error (err, _, _) ->
-       raise (Error (Printf.sprintf "connect %s:%d: %s" host port (Unix.error_message err)))
-     | e -> raise e));
-  { fd; max_frame }
+  match Listener.connect ~host ~port with
+  | Ok fd -> { fd; max_frame }
+  | Error msg -> raise (Error msg)
 
 let close t = try Unix.close t.fd with Unix.Unix_error _ -> ()
 

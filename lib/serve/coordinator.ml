@@ -35,6 +35,7 @@
 
 module Protocol = Protocol
 module Histogram = Soc_util.Metrics.Histogram
+module Farm = Soc_farm.Farm
 
 type config = {
   endpoints : (string * int) list;  (** (host, port); labelled w0, w1, … *)
@@ -63,6 +64,25 @@ type built = { design : string; digest : string; manifest : string; wall_ms : fl
 type outcome =
   | Built of built
   | Build_failed of string  (** the worker's authoritative verdict *)
+
+(* The single-entry in-process build behind both a worker's dispatch
+   and the server's local path. *)
+let build_entry ?journal ?kill ~cache entry =
+  match Farm.build_batch ~jobs:1 ~cache ?journal ?kill [ entry ] with
+  | exception ((Soc_fault.Fault.Killed _ | Soc_fault.Fault.Service.Cancelled) as e) ->
+    raise e
+  | exception e -> Error ("internal error: " ^ Printexc.to_string e)
+  | { Farm.builds = [ (_, b) ]; _ } as report ->
+    Ok
+      { design = b.Soc_core.Flow.spec.Soc_core.Spec.design_name;
+        digest = Farm.build_digest b;
+        manifest = Farm.manifest_json report;
+        wall_ms = 1000.0 *. report.Farm.stats.Farm.wall_seconds }
+  | report ->
+    Error
+      (match report.Farm.failures with
+      | f :: _ -> Format.asprintf "%a" Soc_farm.Pool.pp_failure f
+      | [] -> "build produced no artifact")
 
 type wrec = {
   name : string;
@@ -151,18 +171,7 @@ let close_quietly fd =
   (try Unix.shutdown fd Unix.SHUTDOWN_ALL with Unix.Unix_error _ -> ());
   try Unix.close fd with Unix.Unix_error _ -> ()
 
-let connect (w : wrec) =
-  let fd = Unix.socket Unix.PF_INET Unix.SOCK_STREAM 0 in
-  try
-    Unix.connect fd (Unix.ADDR_INET (Unix.inet_addr_of_string w.whost, w.wport));
-    Ok fd
-  with
-  | Unix.Unix_error (e, _, _) ->
-    (try Unix.close fd with Unix.Unix_error _ -> ());
-    Error (Printf.sprintf "connect %s:%d: %s" w.whost w.wport (Unix.error_message e))
-  | e ->
-    (try Unix.close fd with Unix.Unix_error _ -> ());
-    raise e
+let connect (w : wrec) = Listener.connect ~host:w.whost ~port:w.wport
 
 (* One frame off a dispatch connection, in short select slices so the
    attempt can abandon (worker marked down, race settled) without

@@ -50,6 +50,18 @@ type outcome =
   | Built of built
   | Build_failed of string  (** the worker's authoritative verdict *)
 
+val build_entry :
+  ?journal:Soc_farm.Journal.t ->
+  ?kill:Soc_fault.Fault.crash_point ->
+  cache:Soc_farm.Cache.t ->
+  Soc_farm.Jobgraph.entry ->
+  (built, string) result
+(** The in-process build of one entry — [Farm.build_batch ~jobs:1] —
+    that a worker runs for a dispatch and the server runs locally.
+    [Error] carries the failure reason; an exception inside the build is
+    an ["internal error: ..."] failure, except {!Soc_fault.Fault.Killed}
+    and {!Soc_fault.Fault.Service.Cancelled}, which propagate. *)
+
 type t
 
 val create : config -> t

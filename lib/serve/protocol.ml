@@ -829,6 +829,16 @@ let decode_response j =
   | r -> Error (Printf.sprintf "unknown reply %S" r)
   | exception Parse_error msg -> Error msg
 
+let hello_reply ~daemon ~worker_id version =
+  if version < min_protocol_version then
+    Rejected
+      { reason = Version_skew;
+        detail =
+          Printf.sprintf "peer speaks protocol %d; this %s requires >= %d" version daemon
+            min_protocol_version;
+        diags = [] }
+  else Hello_r { version = min version protocol_version; worker_id }
+
 (* Frame-level convenience used by both ends. *)
 let send ?link ?max_len fd v = write_frame ?link ?max_len fd (to_string v)
 

@@ -216,6 +216,12 @@ val diag_of_json : json -> Soc_util.Diag.t
 val encode_response : response -> json
 val decode_response : json -> (response, string) result
 
+val hello_reply : daemon:string -> worker_id:string -> int -> response
+(** The answer to [Hello] at the given peer version: [Hello_r] at the
+    lower of the two versions, or a [Version_skew] rejection naming
+    [daemon] ("server", "worker") when the peer is below
+    {!min_protocol_version}. *)
+
 val send : ?link:string -> ?max_len:int -> Unix.file_descr -> json -> unit
 val recv : ?max_len:int -> Unix.file_descr -> json option
 

@@ -25,13 +25,14 @@
    an injection point simply runs to completion and warms the cache —
    harmless, because results are content-addressed.
 
+   The socket side is a {!Listener}, as for the serve daemon, but with
+   no session cap and no idle timeout: the only peers are coordinators.
    Replies are written with the worker's ["wk:<id>"] net-fault link, so
    a chaos campaign can one-way-partition a worker (it hears requests;
    its answers vanish) without touching the worker's code. *)
 
 module Protocol = Protocol
 module Fault = Soc_fault.Fault
-module Farm = Soc_farm.Farm
 
 type config = {
   host : string;
@@ -55,16 +56,9 @@ type inflight = {
   mutable result : Protocol.response option;
 }
 
-type session_rec = {
-  sid : int;
-  sfd : Unix.file_descr;
-  mutable sthread : Thread.t option;
-}
-
 type t = {
   cfg : config;
-  listener : Unix.file_descr;
-  bound_port : int;
+  listener : Listener.t;
   cache : Soc_farm.Cache.t;
   link : string;  (* net-fault label for every reply this worker writes *)
   builds_done : int Atomic.t;
@@ -72,14 +66,9 @@ type t = {
   lock : Mutex.t;
   cond : Condition.t;
   registry : (string, inflight) Hashtbl.t;
-  mutable stopping : bool;
-  mutable killed : bool;
-  mutable sessions : session_rec list;
-  mutable next_sid : int;
-  mutable accept_thread : Thread.t option;
 }
 
-let port t = t.bound_port
+let port t = Listener.port t.listener
 let worker_id t = t.cfg.worker_id
 let builds_done t = Atomic.get t.builds_done
 let cancel_hits t = Atomic.get t.cancel_hits
@@ -133,25 +122,16 @@ let run_build t ~source ~key : Protocol.response =
         in
         match
           Fault.Service.with_cancel probe (fun () ->
-              Farm.build_batch ~jobs:1 ~cache:t.cache [ entry ])
+              Coordinator.build_entry ~cache:t.cache entry)
         with
         | exception Fault.Service.Cancelled -> fail "cancelled"
-        | exception e -> fail ("internal error: " ^ Printexc.to_string e)
-        | report -> (
-          match report.Farm.builds with
-          | [ (_, b) ] ->
-            Atomic.incr t.builds_done;
-            Protocol.Built_r
-              { key; state = Protocol.Done;
-                design = b.Soc_core.Flow.spec.Soc_core.Spec.design_name;
-                digest = Farm.build_digest b;
-                manifest = Farm.manifest_json report;
-                wall_ms = 1000.0 *. report.Farm.stats.Farm.wall_seconds }
-          | _ ->
-            fail
-              (match report.Farm.failures with
-              | f :: _ -> Format.asprintf "%a" Soc_farm.Pool.pp_failure f
-              | [] -> "build produced no artifact")))
+        | Error reason -> fail reason
+        | Ok b ->
+          Atomic.incr t.builds_done;
+          Protocol.Built_r
+            { key; state = Protocol.Done; design = b.Coordinator.design;
+              digest = b.Coordinator.digest; manifest = b.Coordinator.manifest;
+              wall_ms = b.Coordinator.wall_ms })
     in
     Mutex.lock t.lock;
     inf.result <- Some resp;
@@ -176,17 +156,7 @@ let cancel t ~key : Protocol.response =
 let handle t (req : Protocol.request) : Protocol.response =
   match req with
   | Protocol.Hello { version; peer = _ } ->
-    if version < Protocol.min_protocol_version then
-      Protocol.Rejected
-        { reason = Protocol.Version_skew;
-          detail =
-            Printf.sprintf "peer speaks protocol %d; this worker requires >= %d"
-              version Protocol.min_protocol_version;
-          diags = [] }
-    else
-      Protocol.Hello_r
-        { version = min version Protocol.protocol_version;
-          worker_id = t.cfg.worker_id }
+    Protocol.hello_reply ~daemon:"worker" ~worker_id:t.cfg.worker_id version
   | Protocol.Heartbeat ->
     Protocol.Heartbeat_r { in_flight = in_flight t; builds_done = builds_done t }
   | Protocol.Ping -> Protocol.Pong
@@ -196,126 +166,35 @@ let handle t (req : Protocol.request) : Protocol.response =
   | Protocol.Drain | Protocol.Explore _ ->
     Protocol.Error_r "not a coordinator: this daemon only speaks the worker protocol"
 
-let session t sr =
-  let fd = sr.sfd in
-  let max_len = t.cfg.max_frame in
-  let reply v = Protocol.send ~link:t.link ~max_len fd (Protocol.encode_response v) in
-  let rec loop () =
-    match Protocol.recv_checked ~max_len fd with
-    | Ok None -> ()
-    | Ok (Some j) ->
-      (match Protocol.decode_request j with
-      | Error msg -> reply (Protocol.Error_r msg)
-      | Ok req -> reply (handle t req));
-      loop ()
-    | Error (Protocol.Oversized { announced; limit }) ->
-      (* The payload was never read, so the stream cannot be resynced:
-         explain, then hang up. *)
-      reply
-        (Protocol.Rejected
-           { reason = Protocol.Frame_too_large;
-             detail = Printf.sprintf "announced %d bytes; limit is %d" announced limit;
-             diags = [] })
-    | Error (Protocol.Torn _) -> ()
-  in
-  (try loop () with
-  | Protocol.Framing_error _ | Protocol.Parse_error _ | Unix.Unix_error _ | Sys_error _
-    -> ());
-  Mutex.lock t.lock;
-  t.sessions <- List.filter (fun s -> s.sid <> sr.sid) t.sessions;
-  Mutex.unlock t.lock;
-  (try Unix.shutdown fd Unix.SHUTDOWN_ALL with Unix.Unix_error _ -> ());
-  try Unix.close fd with Unix.Unix_error _ -> ()
-
-let accept_loop t =
-  let rec loop () =
-    match Unix.accept t.listener with
-    | exception Unix.Unix_error ((Unix.EBADF | Unix.EINVAL | Unix.ECONNABORTED), _, _)
-      -> ()
-    | exception Unix.Unix_error (Unix.EINTR, _, _) -> loop ()
-    | fd, _ ->
-      if t.stopping || t.killed then (try Unix.close fd with Unix.Unix_error _ -> ())
-      else begin
-        Mutex.lock t.lock;
-        let sid = t.next_sid in
-        t.next_sid <- sid + 1;
-        let sr = { sid; sfd = fd; sthread = None } in
-        t.sessions <- sr :: t.sessions;
-        Mutex.unlock t.lock;
-        sr.sthread <- Some (Thread.create (fun () -> session t sr) ())
-      end;
-      if not (t.stopping || t.killed) then loop ()
-  in
-  loop ()
-
 let start (cfg : config) =
-  (try Sys.set_signal Sys.sigpipe Sys.Signal_ignore with Invalid_argument _ -> ());
   let cache =
     Soc_farm.Cache.create ?disk_dir:cfg.cache_dir ?max_mb:cfg.cache_max_mb ()
   in
   Soc_farm.Cache.enable_tape_cache cache;
-  let listener = Unix.socket Unix.PF_INET Unix.SOCK_STREAM 0 in
-  (try
-     Unix.setsockopt listener Unix.SO_REUSEADDR true;
-     Unix.bind listener (Unix.ADDR_INET (Unix.inet_addr_of_string cfg.host, cfg.port));
-     Unix.listen listener 64
-   with e ->
-     (try Unix.close listener with Unix.Unix_error _ -> ());
-     raise e);
-  let bound_port =
-    match Unix.getsockname listener with
-    | Unix.ADDR_INET (_, p) -> p
-    | _ -> cfg.port
-  in
   let t =
-    { cfg; listener; bound_port; cache; link = "wk:" ^ cfg.worker_id;
-      builds_done = Atomic.make 0; cancel_hits = Atomic.make 0;
-      lock = Mutex.create (); cond = Condition.create ();
-      registry = Hashtbl.create 16; stopping = false; killed = false;
-      sessions = []; next_sid = 0; accept_thread = None }
+    { cfg; listener = Listener.bind ~host:cfg.host ~port:cfg.port; cache;
+      link = "wk:" ^ cfg.worker_id; builds_done = Atomic.make 0;
+      cancel_hits = Atomic.make 0; lock = Mutex.create (); cond = Condition.create ();
+      registry = Hashtbl.create 16 }
   in
-  t.accept_thread <- Some (Thread.create (fun () -> accept_loop t) ());
+  Listener.serve ~link:t.link ~max_frame:cfg.max_frame t.listener (fun reply req ->
+      reply (handle t req));
   t
 
-let poke_accept t =
-  match Unix.socket Unix.PF_INET Unix.SOCK_STREAM 0 with
-  | exception Unix.Unix_error _ -> ()
-  | fd ->
-    (try
-       Unix.connect fd (Unix.ADDR_INET (Unix.inet_addr_of_string t.cfg.host, t.bound_port))
-     with Unix.Unix_error _ -> ());
-    (try Unix.close fd with Unix.Unix_error _ -> ())
-
-(* Simulated kill -9: no farewell frames, no draining. Sessions are shut
-   down at the socket level (peers see EOF/torn frames mid-whatever);
-   in-flight builds get their cancel flag so an injected hang aborts
-   instead of wedging the thread. Session fds are shut down but not
-   closed here — a thread may still be blocked in [read] on them, and
-   the shutdown is what wakes it; the session body closes its own fd on
-   the way out. *)
-let kill t =
+(* Flag every in-flight build cancelled, so an injected hang aborts
+   instead of wedging its thread. *)
+let cancel_all t =
   Mutex.lock t.lock;
-  t.killed <- true;
-  let sessions = t.sessions in
   Hashtbl.iter (fun _ inf -> inf.cancelled <- true) t.registry;
-  Mutex.unlock t.lock;
-  (try Unix.close t.listener with Unix.Unix_error _ -> ());
-  List.iter
-    (fun sr -> try Unix.shutdown sr.sfd Unix.SHUTDOWN_ALL with Unix.Unix_error _ -> ())
-    sessions
+  Mutex.unlock t.lock
+
+(* Simulated kill -9: no farewell frames, no draining. The port closes
+   at once; sessions are shut down at the socket level, so peers see
+   EOF or torn frames mid-whatever. *)
+let kill t =
+  Listener.kill t.listener;
+  cancel_all t
 
 let stop t =
-  t.stopping <- true;
-  Mutex.lock t.lock;
-  Hashtbl.iter (fun _ inf -> inf.cancelled <- true) t.registry;
-  Mutex.unlock t.lock;
-  poke_accept t;
-  (try Unix.close t.listener with Unix.Unix_error _ -> ());
-  (match t.accept_thread with Some th -> Thread.join th | None -> ());
-  Mutex.lock t.lock;
-  let sessions = t.sessions in
-  Mutex.unlock t.lock;
-  List.iter
-    (fun sr -> try Unix.shutdown sr.sfd Unix.SHUTDOWN_ALL with Unix.Unix_error _ -> ())
-    sessions;
-  List.iter (fun sr -> Option.iter Thread.join sr.sthread) sessions
+  cancel_all t;
+  Listener.stop t.listener

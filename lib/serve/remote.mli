@@ -49,11 +49,12 @@ val cancel_hits : t -> int
 (** [Cancel] requests that found their key in flight. *)
 
 val kill : t -> unit
-(** Simulated [kill -9]: close the listener and tear down every session
-    at the socket level — no farewell frames, peers see EOF or torn
-    frames. In-flight builds are flagged cancelled so injected hangs
-    abort instead of leaking wedged threads. The process-level
-    equivalent in CI is a real [kill -9]. *)
+(** Simulated [kill -9]: close the port — connections are refused once
+    this returns, and a new worker may start on it at once — and tear
+    down every session at the socket level — no farewell frames, peers
+    see EOF or torn frames. In-flight builds are flagged cancelled so
+    injected hangs abort instead of leaking wedged threads. The
+    process-level equivalent in CI is a real [kill -9]. *)
 
 val stop : t -> unit
 (** Orderly shutdown: stop accepting, cancel in-flight builds, join

@@ -1,8 +1,9 @@
 (* The generation daemon: the whole flow — parse, static-analysis gate,
    crash-safe farm build — behind a TCP socket.
 
-   Threading model: one accept thread, one systhread per connection, a
-   fixed pool of worker threads pulling from the {!Scheduler}, and one
+   Threading model: a {!Listener} (one accept thread, one systhread per
+   connection, bounded by [max_sessions] and [idle_session_timeout_ms]),
+   a fixed pool of worker threads pulling from the {!Scheduler}, and one
    supervisor thread watching all of it. Each worker runs
    [Farm.build_batch ~jobs:1], which spawns its domain underneath, so
    total parallelism is [workers] builds in flight. Workers share one
@@ -28,7 +29,6 @@ module Scheduler = Scheduler
 module Breaker = Breaker
 module Diag = Soc_util.Diag
 module Fault = Soc_fault.Fault
-module Farm = Soc_farm.Farm
 module Histogram = Soc_util.Metrics.Histogram
 module Cengine = Soc_rtl_compile.Engine
 
@@ -74,13 +74,11 @@ let default_config =
     max_sessions = 64; idle_session_timeout_ms = None;
     fleet = []; fleet_rpc_timeout_ms = 60_000; fleet_hedge_ms = None }
 
-(* What a job carries and what it yields. [source] is the submitted DSL
-   text verbatim: a remote worker must parse the *same bytes* the
-   coordinator admitted, because parsing attaches source spans that
-   participate in the build digest. *)
+(* What a job carries; it yields a {!Coordinator.built}. [source] is the
+   submitted DSL text verbatim: a remote worker must parse the *same
+   bytes* the coordinator admitted, because parsing attaches source spans
+   that participate in the build digest. *)
 type payload = { entry : Soc_farm.Jobgraph.entry; source : string }
-
-type built = { design : string; digest : string; manifest : string; wall_ms : float }
 
 type phase = Serving | Drained of int * int | Killed of string * int
 
@@ -91,7 +89,7 @@ type phase = Serving | Drained of int * int | Killed of string * int
    itself if the build ever returns. *)
 type wstate =
   | W_idle
-  | W_building of (payload, built) Scheduler.job * float
+  | W_building of (payload, Coordinator.built) Scheduler.job * float
   | W_dead  (* thread crashed; death note filed *)
   | W_retired  (* thread exited cleanly *)
 
@@ -102,17 +100,10 @@ type worker = {
   mutable abandoned : bool;
 }
 
-type session_rec = {
-  sid : int;
-  sfd : Unix.file_descr;
-  mutable sthread : Thread.t option;
-}
-
 type t = {
   cfg : config;
-  listener : Unix.file_descr;
-  bound_port : int;
-  sched : (payload, built) Scheduler.t;
+  listener : Listener.t;
+  sched : (payload, Coordinator.built) Scheduler.t;
   cache : Soc_farm.Cache.t;
   journal : Soc_farm.Journal.t option;
   kill_slot : Fault.crash_point option Atomic.t;
@@ -139,13 +130,10 @@ type t = {
   mutable death_notes : (worker * exn) list;
   mutable restart_times : float list;  (* sliding restart-intensity window *)
   mutable degraded : bool;
-  mutable sessions : session_rec list;
-  mutable next_sid : int;
   mutable monitor_thread : Thread.t option;
-  mutable accept_thread : Thread.t option;
 }
 
-let port t = t.bound_port
+let port t = Listener.port t.listener
 let startup_diags t = t.startup_diags
 let pause t = Scheduler.pause t.sched
 let unpause t = Scheduler.unpause t.sched
@@ -182,11 +170,7 @@ let is_degraded t =
   Mutex.unlock t.lock;
   d
 
-let session_count t =
-  Mutex.lock t.lock;
-  let n = List.length t.sessions in
-  Mutex.unlock t.lock;
-  n
+let session_count t = Listener.session_count t.listener
 
 (* ---------------- admission ---------------- *)
 
@@ -256,22 +240,27 @@ let admit t ~source ~priority ~deadline_ms : Protocol.response =
 
 (* ---------------- workers ---------------- *)
 
+(* Land a build's verdict on [job]. The breaker is told only when this
+   call is the one that landed it (a watchdog may have expired the job
+   first). *)
+let settle t job r =
+  let outcome =
+    match r with Ok built -> Scheduler.Ok_r built | Error reason -> Scheduler.Failed reason
+  in
+  if Scheduler.try_finish t.sched job outcome then
+    Breaker.record t.breaker (Scheduler.job_key job) ~ok:(Result.is_ok r)
+
 (* Run one build with full containment: only {!Fault.Killed} (the
    injected whole-process crash) escapes the normal flow, and even that
    is turned into an orderly phase change. Any other exception — engine
    bug, poisoned spec, planner crash — fails this request and leaves the
-   worker healthy. The breaker is told the outcome only when this call
-   is the one that landed the verdict (a watchdog may have expired the
-   job first). *)
+   worker healthy. *)
 let build_local t job =
   (* The armed kill point is taken by exactly one build: the daemon dies
      once, like a process does. *)
   let kill = Atomic.exchange t.kill_slot None in
   let payload = Scheduler.job_payload job in
-  let key = Scheduler.job_key job in
-  match
-    Farm.build_batch ~jobs:1 ~cache:t.cache ?journal:t.journal ?kill [ payload.entry ]
-  with
+  match Coordinator.build_entry ~cache:t.cache ?journal:t.journal ?kill payload.entry with
   | exception Fault.Killed (s, k) ->
     set_phase t (Killed (s, k));
     (* Fail everything still live (the journal is sealed; committed work
@@ -279,33 +268,9 @@ let build_local t job =
     Scheduler.abort_all t.sched
       ~reason:(Printf.sprintf "server killed at %s:%d" s k);
     `Killed
-  | exception e ->
-    if
-      Scheduler.try_finish t.sched job
-        (Scheduler.Failed ("internal error: " ^ Printexc.to_string e))
-    then Breaker.record t.breaker key ~ok:false;
+  | r ->
+    settle t job r;
     `Ok
-  | report -> (
-    match report.Farm.builds with
-    | [ (_, b) ] ->
-      let built =
-        { design = b.Soc_core.Flow.spec.Soc_core.Spec.design_name;
-          digest = Farm.build_digest b;
-          manifest = Farm.manifest_json report;
-          wall_ms = 1000.0 *. report.Farm.stats.Farm.wall_seconds }
-      in
-      if Scheduler.try_finish t.sched job (Scheduler.Ok_r built) then
-        Breaker.record t.breaker key ~ok:true;
-      `Ok
-    | _ ->
-      let reason =
-        match report.Farm.failures with
-        | f :: _ -> Format.asprintf "%a" Soc_farm.Pool.pp_failure f
-        | [] -> "build produced no artifact"
-      in
-      if Scheduler.try_finish t.sched job (Scheduler.Failed reason) then
-        Breaker.record t.breaker key ~ok:false;
-      `Ok)
 
 (* With a fleet configured, builds go to the coordinator first. A
    worker's [Build_failed] is authoritative — it still feeds the
@@ -321,17 +286,11 @@ let build_one t job =
     let payload = Scheduler.job_payload job in
     let key = Scheduler.job_key job in
     match Coordinator.build coord ~source:payload.source ~key () with
-    | Ok (Coordinator.Built rb) ->
-      let built =
-        { design = rb.Coordinator.design; digest = rb.Coordinator.digest;
-          manifest = rb.Coordinator.manifest; wall_ms = rb.Coordinator.wall_ms }
-      in
-      if Scheduler.try_finish t.sched job (Scheduler.Ok_r built) then
-        Breaker.record t.breaker key ~ok:true;
+    | Ok (Coordinator.Built built) ->
+      settle t job (Ok built);
       `Ok
     | Ok (Coordinator.Build_failed reason) ->
-      if Scheduler.try_finish t.sched job (Scheduler.Failed reason) then
-        Breaker.record t.breaker key ~ok:false;
+      settle t job (Error reason);
       `Ok
     | Error _fleet_exhausted ->
       Atomic.incr t.remote_fallbacks;
@@ -371,14 +330,11 @@ let worker_main t w =
     w.wstate <- W_dead;
     t.death_notes <- (w, e) :: t.death_notes;
     Mutex.unlock t.lock;
-    (match held with
-    | None -> ()
-    | Some job ->
-      if
-        Scheduler.try_finish t.sched job
-          (Scheduler.Failed
-             (Printf.sprintf "worker %d crashed: %s" w.wid (Printexc.to_string e)))
-      then Breaker.record t.breaker (Scheduler.job_key job) ~ok:false)
+    Option.iter
+      (fun job ->
+        settle t job
+          (Error (Printf.sprintf "worker %d crashed: %s" w.wid (Printexc.to_string e))))
+      held
 
 let spawn_worker t w = w.wthread <- Some (Thread.create (fun () -> worker_main t w) ())
 
@@ -529,7 +485,7 @@ let stats t : Protocol.server_stats =
 
 (* ---------------- sessions ---------------- *)
 
-let state_of_outcome (o : built Scheduler.outcome) : Protocol.request_state =
+let state_of_outcome (o : Coordinator.built Scheduler.outcome) : Protocol.request_state =
   match o with
   | Scheduler.Ok_r _ -> Protocol.Done
   | Scheduler.Failed m -> Protocol.Failed m
@@ -551,23 +507,15 @@ let handle t (req : Protocol.request) : Protocol.response =
     | None -> Protocol.Error_r (Printf.sprintf "unknown request id %d" id)
     | Some (Scheduler.Ok_r b) ->
       Protocol.Result_r
-        { id; state = Protocol.Done; design = b.design; digest = b.digest;
-          manifest = b.manifest; wall_ms = b.wall_ms }
+        { id; state = Protocol.Done; design = b.Coordinator.design;
+          digest = b.Coordinator.digest; manifest = b.Coordinator.manifest;
+          wall_ms = b.Coordinator.wall_ms }
     | Some o ->
       Protocol.Result_r
         { id; state = state_of_outcome o; design = ""; digest = ""; manifest = "";
           wall_ms = 0.0 })
   | Protocol.Hello { version; peer = _ } ->
-    if version < Protocol.min_protocol_version then
-      Protocol.Rejected
-        { reason = Protocol.Version_skew;
-          detail =
-            Printf.sprintf "peer speaks protocol %d; this server requires >= %d"
-              version Protocol.min_protocol_version;
-          diags = [] }
-    else
-      Protocol.Hello_r
-        { version = min version Protocol.protocol_version; worker_id = "server" }
+    Protocol.hello_reply ~daemon:"server" ~worker_id:"server" version
   | Protocol.Heartbeat ->
     let s = Scheduler.stats t.sched in
     Protocol.Heartbeat_r
@@ -660,95 +608,18 @@ let handle_explore t reply
                  cache_hits = hits;
                  wall_ms = 1000.0 *. (t.cfg.clock () -. t0) }))
 
-let session t sr =
-  let fd = sr.sfd in
-  (* Idle-session timeout via a receive timeout: a stalled read raises
-     EAGAIN, which lands in the catch-all below and drops the session. *)
-  (match t.cfg.idle_session_timeout_ms with
-  | None -> ()
-  | Some ms -> (
-    try Unix.setsockopt_float fd Unix.SO_RCVTIMEO (float_of_int ms /. 1000.0)
-    with Unix.Unix_error _ | Invalid_argument _ -> ()));
-  let max_len = t.cfg.max_frame in
-  let reply v = Protocol.send fd (Protocol.encode_response v) in
-  let rec loop () =
-    match Protocol.recv_checked ~max_len fd with
-    | Ok None -> ()
-    | Ok (Some j) ->
-      (match Protocol.decode_request j with
-      | Error msg -> reply (Protocol.Error_r msg)
-      | Ok
-          (Protocol.Explore
-             { strategy; seed; budget_pct; population; generations; samples; width; height })
-        ->
-        handle_explore t reply ~strategy ~seed ~budget_pct ~population ~generations
-          ~samples ~width ~height
-      | Ok req -> reply (handle t req));
-      loop ()
-    | Error (Protocol.Oversized { announced; limit }) ->
-      (* The announced payload was never read (and never allocated), so
-         the stream cannot be resynced: explain, then hang up. *)
-      reply
-        (Protocol.Rejected
-           { reason = Protocol.Frame_too_large;
-             detail = Printf.sprintf "announced %d bytes; limit is %d" announced limit;
-             diags = [] })
-    | Error (Protocol.Torn _) -> ()
-  in
-  (try loop () with
-  | Protocol.Framing_error _ | Protocol.Parse_error _ | Unix.Unix_error _ | Sys_error _
-    -> ());
-  Mutex.lock t.lock;
-  t.sessions <- List.filter (fun s -> s.sid <> sr.sid) t.sessions;
-  Mutex.unlock t.lock;
-  (try Unix.shutdown fd Unix.SHUTDOWN_ALL with Unix.Unix_error _ -> ());
-  try Unix.close fd with Unix.Unix_error _ -> ()
-
-(* Over-cap connections get a best-effort explanation, then the door. *)
-let reject_session fd =
-  (try Protocol.send fd (Protocol.encode_response (Protocol.Error_r "too many concurrent sessions"))
-   with Protocol.Framing_error _ | Unix.Unix_error _ | Sys_error _ -> ());
-  (try Unix.shutdown fd Unix.SHUTDOWN_ALL with Unix.Unix_error _ -> ());
-  try Unix.close fd with Unix.Unix_error _ -> ()
-
-let accept_loop t =
-  let rec loop () =
-    match Unix.accept t.listener with
-    | exception Unix.Unix_error ((Unix.EBADF | Unix.EINVAL | Unix.ECONNABORTED), _, _)
-      when t.stopping -> ()
-    | exception Unix.Unix_error (Unix.EINTR, _, _) -> loop ()
-    | fd, _ ->
-      if t.stopping then (try Unix.close fd with Unix.Unix_error _ -> ())
-      else begin
-        (* Register under the lock before spawning, so the cap check and
-           the insert are atomic and [stop] can join every session. *)
-        Mutex.lock t.lock;
-        let sr =
-          if List.length t.sessions >= t.cfg.max_sessions then None
-          else begin
-            let sid = t.next_sid in
-            t.next_sid <- sid + 1;
-            let sr = { sid; sfd = fd; sthread = None } in
-            t.sessions <- sr :: t.sessions;
-            Some sr
-          end
-        in
-        Mutex.unlock t.lock;
-        match sr with
-        | None -> reject_session fd
-        | Some sr -> sr.sthread <- Some (Thread.create (fun () -> session t sr) ())
-      end;
-      if not t.stopping then loop ()
-  in
-  loop ()
+(* The listener's handler: explore streams its frames, everything else
+   is one reply. *)
+let serve_request t reply = function
+  | Protocol.Explore
+      { strategy; seed; budget_pct; population; generations; samples; width; height } ->
+    handle_explore t reply ~strategy ~seed ~budget_pct ~population ~generations ~samples
+      ~width ~height
+  | req -> reply (handle t req)
 
 (* ---------------- lifecycle ---------------- *)
 
 let start (cfg : config) =
-  (* A peer that resets its socket mid-write must cost us an EPIPE on
-     that one session, never the process: writes then surface as
-     [Unix.Unix_error (EPIPE, _, _)] inside the session's containment. *)
-  (try Sys.set_signal Sys.sigpipe Sys.Signal_ignore with Invalid_argument _ -> ());
   (* Startup hygiene, the doctor's passes: verify every cache artifact and
      compact the journal before trusting either. *)
   let startup_diags =
@@ -781,21 +652,9 @@ let start (cfg : config) =
       ~on_done:(fun ~latency -> Histogram.observe hist latency)
       ~queue_cap:cfg.queue_cap ()
   in
-  let listener = Unix.socket Unix.PF_INET Unix.SOCK_STREAM 0 in
-  (try
-     Unix.setsockopt listener Unix.SO_REUSEADDR true;
-     Unix.bind listener (Unix.ADDR_INET (Unix.inet_addr_of_string cfg.host, cfg.port));
-     Unix.listen listener 64
-   with e ->
-     (try Unix.close listener with Unix.Unix_error _ -> ());
-     raise e);
-  let bound_port =
-    match Unix.getsockname listener with
-    | Unix.ADDR_INET (_, p) -> p
-    | _ -> cfg.port
-  in
+  let listener = Listener.bind ~host:cfg.host ~port:cfg.port in
   let t =
-    { cfg; listener; bound_port; sched; cache; journal;
+    { cfg; listener; sched; cache; journal;
       kill_slot = Atomic.make cfg.kill; hist;
       breaker =
         Breaker.create ~clock:cfg.clock ~threshold:cfg.breaker_threshold
@@ -820,8 +679,7 @@ let start (cfg : config) =
       startup_diags; lock = Mutex.create ();
       cond = Condition.create (); phase = Serving; stopping = false;
       workers = []; next_wid = 0; death_notes = []; restart_times = [];
-      degraded = false; sessions = []; next_sid = 0;
-      monitor_thread = None; accept_thread = None }
+      degraded = false; monitor_thread = None }
   in
   t.workers <-
     List.init (max 1 cfg.workers) (fun i ->
@@ -829,7 +687,9 @@ let start (cfg : config) =
   t.next_wid <- List.length t.workers;
   List.iter (fun w -> spawn_worker t w) t.workers;
   t.monitor_thread <- Some (Thread.create (fun () -> supervise_loop t) ());
-  t.accept_thread <- Some (Thread.create (fun () -> accept_loop t) ());
+  Listener.serve ~max_sessions:cfg.max_sessions
+    ?idle_timeout_ms:cfg.idle_session_timeout_ms ~max_frame:cfg.max_frame listener
+    (serve_request t);
   t
 
 let wait t =
@@ -846,17 +706,6 @@ let wait t =
   Mutex.unlock t.lock;
   r
 
-(* Wake a (possibly) blocked accept by connecting to ourselves: closing a
-   listening socket does not reliably interrupt accept on Linux. *)
-let poke_accept t =
-  match Unix.socket Unix.PF_INET Unix.SOCK_STREAM 0 with
-  | exception Unix.Unix_error _ -> ()
-  | fd ->
-    (try
-       Unix.connect fd (Unix.ADDR_INET (Unix.inet_addr_of_string t.cfg.host, t.bound_port))
-     with Unix.Unix_error _ -> ());
-    (try Unix.close fd with Unix.Unix_error _ -> ())
-
 let stop t =
   t.stopping <- true;
   Scheduler.abort_all t.sched ~reason:"server stopped";
@@ -864,8 +713,9 @@ let stop t =
      abandon their attempts instead of riding out the rpc timeout. *)
   Option.iter Coordinator.stop t.coord;
   set_phase t (Drained (0, 0));
-  poke_accept t;
-  (try Unix.close t.listener with Unix.Unix_error _ -> ());
+  (* [abort_all] finished every job, so no session is left blocked in
+     [Result] or [Drain]. *)
+  Listener.stop t.listener;
   Mutex.lock t.lock;
   let workers = t.workers in
   Mutex.unlock t.lock;
@@ -873,16 +723,7 @@ let stop t =
   List.iter
     (fun w -> if not w.abandoned then Option.iter Thread.join w.wthread)
     workers;
-  (match t.monitor_thread with Some th -> Thread.join th | None -> ());
-  (match t.accept_thread with Some th -> Thread.join th | None -> ());
-  (* Shut sessions down (waking any blocked reads), then join them. *)
-  Mutex.lock t.lock;
-  let sessions = t.sessions in
-  Mutex.unlock t.lock;
-  List.iter
-    (fun sr -> try Unix.shutdown sr.sfd Unix.SHUTDOWN_ALL with Unix.Unix_error _ -> ())
-    sessions;
-  List.iter (fun sr -> Option.iter Thread.join sr.sthread) sessions;
+  Option.iter Thread.join t.monitor_thread;
   Option.iter Soc_farm.Journal.close t.journal
 
 let cache_diags t = Soc_farm.Cache.diags t.cache

@@ -1,9 +1,11 @@
 (** The generation daemon: the whole flow — parse, static-analysis gate,
     crash-safe farm build — behind a TCP socket speaking {!Protocol}.
 
-    One accept thread, one thread per connection, and [workers] worker
-    threads pulling from the admission {!Scheduler}; each worker runs
-    [Farm.build_batch ~jobs:1] (one domain under the hood). Workers share
+    A {!Listener} (one accept thread, one thread per connection, bounded
+    by [max_sessions] and [idle_session_timeout_ms], which the {!Remote}
+    worker does not apply) and [workers] worker threads pulling from the
+    admission {!Scheduler}; each worker runs [Farm.build_batch ~jobs:1]
+    (one domain under the hood). Workers share
     one content-addressed cache and one write-ahead journal, so identical
     requests coalesce in flight, repeats hit the cache, and a simulated
     kill ([kill]) is recoverable by restarting the daemon on the same

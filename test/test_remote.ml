@@ -2,7 +2,7 @@
    errors, structured frame_too_large), the fleet request/response
    vocabulary, deterministic net-fault plans, the remote worker daemon
    (hello negotiation, heartbeats, idempotent duplicate builds,
-   cancellable injected hangs), and the coordinator (failover retries,
+   cancellable injected hangs, a kill that frees its port), and the coordinator (failover retries,
    all-down exhaustion, hedged stragglers) — plus the server acceptance
    criteria: fleet-dispatched manifests byte-match a direct farm build,
    two clients of one spec in flight on a remote worker cost exactly one
@@ -213,16 +213,27 @@ let test_net_partition () =
 (* The worker daemon                                                   *)
 (* ------------------------------------------------------------------ *)
 
+(* Both daemons negotiate [Hello] the same way; each names itself in
+   the skew rejection and in the hello reply. *)
+let check_hello handle ~daemon ~worker_id =
+  (match handle (Protocol.Hello { version = 99; peer = "test" }) with
+  | Protocol.Hello_r { version; worker_id = id } ->
+    check int (daemon ^ ": negotiated down to ours") Protocol.protocol_version version;
+    check string (daemon ^ ": id") worker_id id
+  | _ -> Alcotest.fail (daemon ^ ": expected Hello_r"));
+  match handle (Protocol.Hello { version = 1; peer = "test" }) with
+  | Protocol.Rejected { reason = Protocol.Version_skew; detail; _ } ->
+    check bool (daemon ^ ": detail names the daemon") true
+      (Tstr.contains detail ("this " ^ daemon ^ " requires"))
+  | _ -> Alcotest.fail (daemon ^ ": expected Version_skew rejection")
+
 let test_worker_hello () =
+  let srv = Server.start Server.default_config in
+  Fun.protect
+    ~finally:(fun () -> Server.stop srv)
+    (fun () -> check_hello (Server.handle srv) ~daemon:"server" ~worker_id:"server");
   with_worker ~worker_id:"w7" (fun wk ->
-      (match Remote.handle wk (Protocol.Hello { version = 99; peer = "test" }) with
-      | Protocol.Hello_r { version; worker_id } ->
-        check int "negotiated down to ours" Protocol.protocol_version version;
-        check string "worker id" "w7" worker_id
-      | _ -> Alcotest.fail "expected Hello_r");
-      (match Remote.handle wk (Protocol.Hello { version = 1; peer = "test" }) with
-      | Protocol.Rejected { reason = Protocol.Version_skew; _ } -> ()
-      | _ -> Alcotest.fail "expected Version_skew rejection");
+      check_hello (Remote.handle wk) ~daemon:"worker" ~worker_id:"w7";
       (match Remote.handle wk Protocol.Heartbeat with
       | Protocol.Heartbeat_r { in_flight; builds_done } ->
         check int "idle worker" 0 in_flight;
@@ -295,6 +306,31 @@ let test_worker_cancel_interrupts_hang () =
           match Remote.handle wk (Protocol.Cancel { key = "nope" }) with
           | Protocol.Cancelled_r { was_running = false; _ } -> ()
           | _ -> Alcotest.fail "expected was_running=false"))
+
+(* A killed worker's port closes at once: a connect is refused, and a
+   new worker starts on the same port straight away. *)
+let test_worker_kill_frees_port () =
+  let cfg = { Remote.default_config with worker_id = "k" } in
+  let wk = ref (Remote.start cfg) in
+  let cfg = { cfg with port = Remote.port !wk } in
+  Fun.protect
+    ~finally:(fun () -> Remote.stop !wk)
+    (fun () ->
+      for round = 1 to 10 do
+        let label what = Printf.sprintf "round %d: %s" round what in
+        let c = Client.connect ~port:cfg.port () in
+        Fun.protect
+          ~finally:(fun () -> Client.close c)
+          (fun () ->
+            check bool (label "ping") true (Client.ping c);
+            Remote.kill !wk);
+        (match Client.connect ~port:cfg.port () with
+        | exception Client.Error _ -> ()
+        | c ->
+          Client.close c;
+          Alcotest.fail (label "killed worker still accepts connections"));
+        wk := Remote.start cfg
+      done)
 
 let test_frame_too_large_structured () =
   (* Both daemons must answer an oversized announcement with a typed
@@ -547,6 +583,8 @@ let suite =
       test_worker_idempotent_duplicate;
     Alcotest.test_case "worker: cancel interrupts an injected hang" `Quick
       test_worker_cancel_interrupts_hang;
+    Alcotest.test_case "worker: kill closes the port, restart reuses it" `Quick
+      test_worker_kill_frees_port;
     Alcotest.test_case "wire: oversized frame gets a structured rejection" `Quick
       test_frame_too_large_structured;
     Alcotest.test_case "coordinator: retries fail over a dead worker" `Quick

@@ -930,82 +930,8 @@ let hls_report () =
   Format.printf "%a" Soc_hls.Perf.pp accel.Soc_hls.Engine.perf
 
 (* ------------------------------------------------------------------ *)
-(* Extension: the build farm (serial vs parallel, cold vs warm)        *)
+(* Extension: the generation daemon (local workers, fleets)            *)
 (* ------------------------------------------------------------------ *)
-
-let farm_bench () =
-  hr "Extension -- build farm: four-arch Otsu batch, serial vs parallel vs warm";
-  print_endline "(the farm runs the generation flow as a job DAG on worker domains,";
-  print_endline " deduplicating HLS by content hash; Fig. 9's reuse claim measured on";
-  print_endline " real engine invocations rather than the tool-runtime model)";
-  let module Jg = Soc_farm.Jobgraph in
-  let entries =
-    List.map
-      (fun arch ->
-        { Jg.spec = Graphs.arch_spec arch;
-          kernels = Graphs.arch_kernels arch ~width:case_w ~height:case_h })
-      Graphs.all_archs
-  in
-  (* Wall clock, not [Sys.time]: CPU time would charge all domains. *)
-  let wall f =
-    let t0 = Unix.gettimeofday () in
-    let r = f () in
-    (r, Unix.gettimeofday () -. t0)
-  in
-  let engine_delta f =
-    let e0 = Soc_hls.Engine.invocation_count () in
-    let r, dt = wall f in
-    (r, dt, Soc_hls.Engine.invocation_count () - e0)
-  in
-  let (), serial_cold, serial_invocations =
-    engine_delta (fun () ->
-        List.iter
-          (fun (e : Jg.entry) -> ignore (Flow.build e.Jg.spec ~kernels:e.Jg.kernels))
-          entries)
-  in
-  let cache = Soc_farm.Cache.create () in
-  let cold, parallel_cold, cold_invocations =
-    engine_delta (fun () -> Soc_farm.Farm.build_batch ~cache entries)
-  in
-  let warm, parallel_warm, warm_invocations =
-    engine_delta (fun () -> Soc_farm.Farm.build_batch ~cache entries)
-  in
-  let t =
-    Table.create ~title:"four-arch Otsu batch"
-      [ "configuration"; "wall (ms)"; "engine runs"; "vs serial-cold" ]
-      ~aligns:[ Table.Left; Table.Right; Table.Right; Table.Right ]
-  in
-  let row label dt inv =
-    Table.add_row t
-      [ label; Printf.sprintf "%.2f" (1000.0 *. dt); string_of_int inv;
-        Printf.sprintf "%.2fx" (serial_cold /. dt) ]
-  in
-  row "serial, no cache (4x Flow.build)" serial_cold serial_invocations;
-  row "farm, cold cache" parallel_cold cold_invocations;
-  row "farm, warm cache" parallel_warm warm_invocations;
-  Table.print t;
-  Printf.printf "distinct kernels in batch: %d (shared cache saves %d engine runs)\n"
-    cold.Soc_farm.Farm.stats.Soc_farm.Farm.distinct_kernels
-    (serial_invocations - cold_invocations);
-  Printf.printf "parallel-warm beats serial-cold: %b\n" (parallel_warm < serial_cold);
-  print_string (Soc_farm.Cache.render_stats cache);
-  print_newline ();
-  let json =
-    Printf.sprintf
-      "{\n  \"bench\": \"farm\",\n  \"batch\": \"otsu_arch1_to_4\",\n  \
-       \"image\": \"%dx%d\",\n  \"jobs\": %d,\n  \
-       \"serial_cold_s\": %.6f,\n  \"parallel_cold_s\": %.6f,\n  \
-       \"parallel_warm_s\": %.6f,\n  \"serial_engine_runs\": %d,\n  \
-       \"farm_engine_runs\": %d,\n  \"warm_engine_runs\": %d,\n  \
-       \"distinct_kernels\": %d,\n  \"warm_speedup_vs_serial\": %.2f\n}\n"
-      case_w case_h (Domain.recommended_domain_count ()) serial_cold parallel_cold
-      parallel_warm serial_invocations cold_invocations warm_invocations
-      warm.Soc_farm.Farm.stats.Soc_farm.Farm.distinct_kernels
-      (serial_cold /. parallel_warm)
-  in
-  Soc_util.Atomic_io.write_file "BENCH_farm.json" json;
-  print_string json;
-  print_endline "wrote BENCH_farm.json"
 
 let serve_bench () =
   hr "Extension -- generation daemon: concurrent clients, cold vs warm cache";
@@ -1564,7 +1490,6 @@ let experiments =
     ("utilization", utilization);
     ("cosim_modes", cosim_modes);
     ("hls_report", hls_report);
-    ("farm", farm_bench);
     ("serve", serve_bench);
     ("cosim", cosim_bench);
   ]

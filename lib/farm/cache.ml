@@ -78,24 +78,50 @@ let protect t key = locked t (fun () -> Hashtbl.replace t.protected_ (Chash.to_h
 (* Disk layer                                                          *)
 (* ------------------------------------------------------------------ *)
 
-(* On-disk entry layout: one text header line followed by the raw payload
-   (Marshal of the accel). The header carries everything needed to read
-   the payload back defensively:
+(* On-disk entry layout, shared by every artifact kind: one text header
+   line followed by the raw payload. The header carries everything needed
+   to read the payload back defensively:
 
      soc-accel <format_version> <payload digest> <payload length>\n
 
    The digest covers the payload bytes, so bit rot, torn writes and
-   truncation are all detected before Marshal ever sees the data. *)
+   truncation are all detected before the payload loader ever sees the
+   data. *)
 
 let header_magic = "soc-accel"
 
-let entry_ext = ".accel"
+(* What differs between the artifact kinds on disk: the file extension,
+   the payload loader (raises on a payload it cannot load) and the words
+   diagnostics use for the artifact and its rebuild. Compiled simulator
+   tapes are keyed by the netlist's content hash
+   ({!Soc_rtl_compile.Tape.netlist_key}); their payload is the tape's own
+   versioned text format — never Marshal. *)
+type 'a kind = {
+  ext : string;
+  load : string -> 'a;
+  noun : string;
+  rebuild : string;
+}
 
-let entry_path dir key = Filename.concat dir (Chash.to_hex key ^ entry_ext)
+let accel_kind : Soc_hls.Engine.accel kind =
+  {
+    ext = ".accel";
+    load = (fun payload -> Marshal.from_string payload 0);
+    noun = "artifact";
+    rebuild = "re-synthesizing";
+  }
+
+let tape_kind =
+  {
+    ext = ".tape";
+    load = Soc_rtl_compile.Tape.deserialize;
+    noun = "compiled tape";
+    rebuild = "re-lowering";
+  }
+
+let entry_path kind dir key_hex = Filename.concat dir (key_hex ^ kind.ext)
 
 let ensure_dir dir = if not (Sys.file_exists dir) then Unix.mkdir dir 0o755
-
-let quarantine_dir dir = Filename.concat dir "quarantine"
 
 let encode_entry payload =
   Printf.sprintf "%s %s %s %d\n" header_magic Chash.format_version
@@ -103,123 +129,109 @@ let encode_entry payload =
     (String.length payload)
   ^ payload
 
-(* What reading an entry file can yield. [Absent] only at the lookup
-   layer; decode distinguishes corruption (quarantine) from staleness
-   (re-synthesize, note once). *)
-type decoded =
-  | Good of string (* payload *)
-  | Stale_version of string (* the version found *)
-  | Corrupt of string (* reason, for the diagnostic *)
+(* What reading an entry file can yield: corruption (quarantine) is told
+   apart from staleness (rebuild, leave the file for the next store to
+   replace). *)
+type 'a inspected =
+  | Loaded of 'a
+  | Stale of string (* the format version found *)
+  | Bad of (string * string) (* diagnostic code, reason *)
+  | Missing
 
-let decode_entry (raw : string) : decoded =
-  match String.index_opt raw '\n' with
-  | None -> Corrupt "no header line (truncated?)"
-  | Some nl -> (
-    let header = String.sub raw 0 nl in
-    match String.split_on_char ' ' header with
-    | [ magic; version; digest; len ] -> (
-      if magic <> header_magic then Corrupt "bad magic"
-      else
-        match int_of_string_opt len with
-        | None -> Corrupt "unreadable payload length"
-        | Some len ->
-          let have = String.length raw - nl - 1 in
-          if have <> len then
-            Corrupt (Printf.sprintf "truncated payload (%d of %d bytes)" have len)
-          else
-            let payload = String.sub raw (nl + 1) len in
-            if Chash.to_hex (Chash.digest payload) <> digest then
-              Corrupt "payload digest mismatch"
-            else if version <> Chash.format_version then Stale_version version
-            else Good payload)
-    | _ -> Corrupt "malformed header")
+(* Read, verify and load one entry file. Never raises. *)
+let inspect kind path =
+  match In_channel.with_open_bin path In_channel.input_all with
+  | exception _ -> if Sys.file_exists path then Bad ("IO400", "unreadable") else Missing
+  | raw -> (
+    let corrupt reason = Bad ("IO400", reason) in
+    match String.index_opt raw '\n' with
+    | None -> corrupt "no header line (truncated?)"
+    | Some nl -> (
+      match String.split_on_char ' ' (String.sub raw 0 nl) with
+      | [ magic; version; digest; len ] -> (
+        if magic <> header_magic then corrupt "bad magic"
+        else
+          match int_of_string_opt len with
+          | None -> corrupt "unreadable payload length"
+          | Some len ->
+            let have = String.length raw - nl - 1 in
+            if have <> len then
+              Bad ("IO401", Printf.sprintf "truncated payload (%d of %d bytes)" have len)
+            else
+              let payload = String.sub raw (nl + 1) len in
+              if Chash.to_hex (Chash.digest payload) <> digest then
+                corrupt "payload digest mismatch"
+              else if version <> Chash.format_version then Stale version
+              else (
+                match kind.load payload with
+                | v -> Loaded v
+                | exception _ -> corrupt "payload fails to load"))
+      | _ -> corrupt "malformed header"))
 
-(* Move a corrupt entry aside rather than deleting it: the quarantine
+(* Move a bad entry aside rather than deleting it: the quarantine
    directory preserves the evidence for post-mortems, and the entry can
-   never be read as a hit again. *)
-let quarantine_file ~dir path =
-  let qdir = quarantine_dir dir in
-  ensure_dir qdir;
-  let dst = Filename.concat qdir (Filename.basename path) in
-  (try Sys.remove dst with _ -> ());
-  Sys.rename path dst;
-  dst
+   never be read as a hit again. If it cannot be moved it is deleted.
+   Returns a diagnostic saying which happened; [suffix] ends its
+   message. *)
+let quarantine kind ~dir path (code, reason) ~suffix =
+  let outcome =
+    try
+      let qdir = Filename.concat dir "quarantine" in
+      ensure_dir qdir;
+      let dst = Filename.concat qdir (Filename.basename path) in
+      (try Sys.remove dst with _ -> ());
+      Sys.rename path dst;
+      "quarantined"
+    with _ ->
+      (try Sys.remove path with _ -> ());
+      "removed"
+  in
+  Diag.warning ~code ~subject:(Filename.basename path)
+    (Printf.sprintf "corrupt %s (%s); %s%s" kind.noun reason outcome suffix)
 
-type read_outcome =
-  | R_absent
-  | R_hit of Soc_hls.Engine.accel
-  | R_stale
-  | R_quarantined of string (* reason *)
+let stale_diag ~subject version action =
+  Diag.info ~code:"IO402" ~subject
+    (Printf.sprintf "stale format %S (current %S); %s" version Chash.format_version action)
 
-(* Lock held. *)
-let disk_read t key =
+(* Lock held. A verified entry is loaded and touched (LRU bookkeeping); a
+   stale one is counted and noted once per run; a bad one is quarantined. *)
+let disk_read t kind key_hex =
   match t.disk_dir with
-  | None -> R_absent
+  | None -> None
   | Some dir -> (
-    let path = entry_path dir key in
-    if not (Sys.file_exists path) then R_absent
-    else
-      let raw = try Some (In_channel.with_open_bin path In_channel.input_all) with _ -> None in
-      match Option.map decode_entry raw with
-      | None -> R_absent (* unreadable file: treat as missing *)
-      | Some (Good payload) -> (
-        match (Marshal.from_string payload 0 : Soc_hls.Engine.accel) with
-        | accel ->
-          (* LRU bookkeeping: a read refreshes the entry's mtime. *)
-          (try Unix.utimes path 0.0 0.0 with _ -> ());
-          R_hit accel
-        | exception _ ->
-          (* The digest matched but Marshal rejected it — a writer bug or
-             cross-compiler artifact; quarantine like any corruption. *)
-          (try ignore (quarantine_file ~dir path) with _ -> (try Sys.remove path with _ -> ()));
-          R_quarantined "payload does not deserialize")
-      | Some (Stale_version v) ->
-        t.stale <- t.stale + 1;
-        if not t.stale_noted then begin
-          t.stale_noted <- true;
-          log_diag t
-            (Diag.info ~code:"IO402" ~subject:(Filename.basename path)
-               (Printf.sprintf
-                  "disk cache entries use format %S (current %S); re-synthesizing \
-                   (reported once per run)"
-                  v Chash.format_version))
-        end;
-        R_stale
-      | Some (Corrupt reason) ->
-        let code =
-          if String.length reason >= 9 && String.sub reason 0 9 = "truncated" then "IO401"
-          else "IO400"
-        in
-        let moved =
-          try Some (quarantine_file ~dir path)
-          with _ ->
-            (try Sys.remove path with _ -> ());
-            None
-        in
-        t.quarantined <- t.quarantined + 1;
+    let path = entry_path kind dir key_hex in
+    match inspect kind path with
+    | Loaded v ->
+      (try Unix.utimes path 0.0 0.0 with _ -> ());
+      Some v
+    | Missing -> None
+    | Stale version ->
+      t.stale <- t.stale + 1;
+      if not t.stale_noted then begin
+        t.stale_noted <- true;
         log_diag t
-          (Diag.warning ~code ~subject:(Filename.basename path)
-             (Printf.sprintf "corrupt cache artifact (%s): %s; will re-synthesize" reason
-                (match moved with
-                | Some dst -> "quarantined to " ^ dst
-                | None -> "removed")));
-        R_quarantined reason)
+          (stale_diag ~subject:(Filename.basename path) version
+             (kind.rebuild ^ " (reported once per run)"))
+      end;
+      None
+    | Bad bad ->
+      t.quarantined <- t.quarantined + 1;
+      log_diag t (quarantine kind ~dir path bad ~suffix:("; " ^ kind.rebuild));
+      None)
 
 (* ------------------------------------------------------------------ *)
 (* LRU size cap                                                        *)
 (* ------------------------------------------------------------------ *)
 
-let is_entry name = Filename.check_suffix name entry_ext
-
-(* Lock held. Evict oldest-mtime entries until the disk layer fits the
-   cap, skipping keys protected by a live journal. *)
+(* Lock held. Evict oldest-mtime accelerator entries until the disk layer
+   fits the cap, skipping keys protected by a live journal. *)
 let enforce_cap t =
   match (t.disk_dir, t.max_bytes) with
   | Some dir, Some cap when Sys.file_exists dir ->
     let entries =
       Array.to_list (Sys.readdir dir)
       |> List.filter_map (fun name ->
-             if not (is_entry name) then None
+             if not (Filename.check_suffix name accel_kind.ext) then None
              else
                let path = Filename.concat dir name in
                match Unix.stat path with
@@ -236,7 +248,7 @@ let enforce_cap t =
       let excess = ref (total - cap) in
       List.iter
         (fun (path, name, sz, _) ->
-          let key_hex = Filename.chop_suffix name entry_ext in
+          let key_hex = Filename.chop_suffix name accel_kind.ext in
           if !excess > 0 && not (Hashtbl.mem t.protected_ key_hex) then begin
             match Sys.remove path with
             | () ->
@@ -252,75 +264,26 @@ let enforce_cap t =
     end
   | _ -> ()
 
-(* Lock held. *)
-let disk_write t key accel =
+(* Lock held. Best-effort: a failed write leaves the memory layer
+   authoritative. [payload] is only forced when there is a disk dir, so a
+   memory-only cache never serializes; [written] runs after a commit. *)
+let disk_write ?(written = ignore) t kind key_hex payload =
   match t.disk_dir with
   | None -> ()
   | Some dir -> (
     try
       ensure_dir dir;
-      let payload = Marshal.to_string accel [] in
-      Soc_util.Atomic_io.write_file ~fsync:t.fsync (entry_path dir key) (encode_entry payload);
-      t.stores <- t.stores + 1;
-      enforce_cap t
-    with _ -> () (* the disk layer is best-effort *))
+      Soc_util.Atomic_io.write_file ~fsync:t.fsync (entry_path kind dir key_hex)
+        (encode_entry (payload ()));
+      written ()
+    with _ -> ())
 
 (* ------------------------------------------------------------------ *)
 (* Compiled-tape layer                                                 *)
 (* ------------------------------------------------------------------ *)
 
-(* Compiled simulator tapes are artifacts too: keyed by the netlist's
-   content hash ({!Soc_rtl_compile.Tape.netlist_key}), serialized through
-   the same verified header (digest-checked, quarantined on corruption,
-   version-gated) so a warm farm or serve round instantiates simulators
-   without lowering a single netlist. The payload is the tape's own
-   versioned text format — never Marshal. *)
-
-let tape_ext = ".tape"
-
-let tape_path dir key = Filename.concat dir (key ^ tape_ext)
-
-let is_tape name = Filename.check_suffix name tape_ext
-
-(* Lock held. Decode + parse a tape entry defensively, quarantining
-   anything the digest or the parser rejects. *)
-let tape_disk_read t key =
-  match t.disk_dir with
-  | None -> None
-  | Some dir -> (
-    let path = tape_path dir key in
-    if not (Sys.file_exists path) then None
-    else
-      let raw = try Some (In_channel.with_open_bin path In_channel.input_all) with _ -> None in
-      match Option.map decode_entry raw with
-      | None -> None
-      | Some (Good payload) -> (
-        match Soc_rtl_compile.Tape.deserialize payload with
-        | tape ->
-          (try Unix.utimes path 0.0 0.0 with _ -> ());
-          Some tape
-        | exception _ ->
-          (try ignore (quarantine_file ~dir path) with _ -> (try Sys.remove path with _ -> ()));
-          t.quarantined <- t.quarantined + 1;
-          log_diag t
-            (Diag.warning ~code:"IO400" ~subject:(Filename.basename path)
-               "corrupt compiled-tape artifact (does not parse); quarantined; will re-lower");
-          None)
-      | Some (Stale_version _) ->
-        t.stale <- t.stale + 1;
-        None
-      | Some (Corrupt reason) ->
-        let code =
-          if String.length reason >= 9 && String.sub reason 0 9 = "truncated" then "IO401"
-          else "IO400"
-        in
-        (try ignore (quarantine_file ~dir path) with _ -> (try Sys.remove path with _ -> ()));
-        t.quarantined <- t.quarantined + 1;
-        log_diag t
-          (Diag.warning ~code ~subject:(Filename.basename path)
-             (Printf.sprintf "corrupt compiled-tape artifact (%s); quarantined; will re-lower"
-                reason));
-        None)
+(* Compiled simulator tapes are artifacts too, so a warm farm or serve
+   round instantiates simulators without lowering a single netlist. *)
 
 let find_tape t ~key =
   locked t (fun () ->
@@ -329,7 +292,7 @@ let find_tape t ~key =
         t.tape_hits <- t.tape_hits + 1;
         Some tape
       | None -> (
-        match tape_disk_read t key with
+        match disk_read t tape_kind key with
         | Some tape ->
           t.tape_disk_hits <- t.tape_disk_hits + 1;
           Hashtbl.replace t.tape_mem key tape;
@@ -341,15 +304,7 @@ let store_tape t ~key tape =
       if not (Hashtbl.mem t.tape_mem key) then begin
         Hashtbl.replace t.tape_mem key tape;
         t.tape_stores <- t.tape_stores + 1;
-        match t.disk_dir with
-        | None -> ()
-        | Some dir -> (
-          try
-            ensure_dir dir;
-            let payload = Soc_rtl_compile.Tape.serialize tape in
-            Soc_util.Atomic_io.write_file ~fsync:t.fsync (tape_path dir key)
-              (encode_entry payload)
-          with _ -> ())
+        disk_write t tape_kind key (fun () -> Soc_rtl_compile.Tape.serialize tape)
       end)
 
 let tape_stats t =
@@ -378,12 +333,12 @@ let find_locked t key =
     t.hits <- t.hits + 1;
     Some a
   | None -> (
-    match disk_read t key with
-    | R_hit a ->
+    match disk_read t accel_kind (Chash.to_hex key) with
+    | Some a ->
       t.disk_hits <- t.disk_hits + 1;
       Hashtbl.replace t.mem (Chash.to_hex key) a;
       Some a
-    | R_absent | R_stale | R_quarantined _ -> None)
+    | None -> None)
 
 (* Counts hits (memory and disk) but not misses: the find-then-synthesize
    pattern would otherwise count every cold lookup twice. *)
@@ -393,7 +348,11 @@ let store t key accel =
   locked t (fun () ->
       if not (Hashtbl.mem t.mem (Chash.to_hex key)) then begin
         Hashtbl.replace t.mem (Chash.to_hex key) accel;
-        disk_write t key accel
+        disk_write t accel_kind (Chash.to_hex key)
+          (fun () -> Marshal.to_string accel [])
+          ~written:(fun () ->
+            t.stores <- t.stores + 1;
+            enforce_cap t)
       end)
 
 (* When a tape cache is routed through us (see [enable_tape_cache]), pay
@@ -464,88 +423,32 @@ let fsck ~dir =
   let checked = ref 0 and ok = ref 0 in
   let quarantined = ref [] and stale = ref [] and orphans = ref [] and diags = ref [] in
   let note d = diags := d :: !diags in
+  let check kind name =
+    incr checked;
+    let path = Filename.concat dir name in
+    match inspect kind path with
+    | Loaded _ -> incr ok
+    | Missing -> () (* removed while we looked: nothing to repair *)
+    | Stale version ->
+      stale := name :: !stale;
+      (try Sys.remove path with _ -> ());
+      note (stale_diag ~subject:name version "removed")
+    | Bad bad ->
+      quarantined := name :: !quarantined;
+      note (quarantine kind ~dir path bad ~suffix:"")
+  in
   (if Sys.file_exists dir && Sys.is_directory dir then
      Array.iter
        (fun name ->
-         let path = Filename.concat dir name in
          if Soc_util.Atomic_io.is_temp name then begin
-           (try Sys.remove path with _ -> ());
+           (try Sys.remove (Filename.concat dir name) with _ -> ());
            orphans := name :: !orphans;
            note
              (Diag.info ~code:"IO404" ~subject:name
                 "orphaned temp file from an interrupted commit; removed")
          end
-         else if is_tape name then begin
-           incr checked;
-           let raw = try Some (In_channel.with_open_bin path In_channel.input_all) with _ -> None in
-           match Option.map decode_entry raw with
-           | Some (Good payload) -> (
-             match Soc_rtl_compile.Tape.deserialize payload with
-             | _ -> incr ok
-             | exception _ ->
-               quarantined := name :: !quarantined;
-               (try ignore (quarantine_file ~dir path) with _ -> (try Sys.remove path with _ -> ()));
-               note
-                 (Diag.warning ~code:"IO400" ~subject:name
-                    "compiled tape does not parse; quarantined"))
-           | Some (Stale_version v) ->
-             stale := name :: !stale;
-             (try Sys.remove path with _ -> ());
-             note
-               (Diag.info ~code:"IO402" ~subject:name
-                  (Printf.sprintf "stale format %S (current %S); removed" v
-                     Chash.format_version))
-           | Some (Corrupt reason) ->
-             let code =
-               if String.length reason >= 9 && String.sub reason 0 9 = "truncated" then "IO401"
-               else "IO400"
-             in
-             quarantined := name :: !quarantined;
-             (try ignore (quarantine_file ~dir path) with _ -> (try Sys.remove path with _ -> ()));
-             note
-               (Diag.warning ~code ~subject:name
-                  (Printf.sprintf "corrupt compiled tape (%s); quarantined" reason))
-           | None ->
-             quarantined := name :: !quarantined;
-             (try ignore (quarantine_file ~dir path) with _ -> (try Sys.remove path with _ -> ()));
-             note (Diag.warning ~code:"IO400" ~subject:name "unreadable compiled tape; quarantined")
-         end
-         else if is_entry name then begin
-           incr checked;
-           let raw = try Some (In_channel.with_open_bin path In_channel.input_all) with _ -> None in
-           match Option.map decode_entry raw with
-           | None ->
-             quarantined := name :: !quarantined;
-             (try ignore (quarantine_file ~dir path) with _ -> (try Sys.remove path with _ -> ()));
-             note (Diag.warning ~code:"IO400" ~subject:name "unreadable artifact; quarantined")
-           | Some (Good payload) -> (
-             (* the digest matched; make sure the payload also deserializes *)
-             match (Marshal.from_string payload 0 : Soc_hls.Engine.accel) with
-             | _ -> incr ok
-             | exception _ ->
-               quarantined := name :: !quarantined;
-               (try ignore (quarantine_file ~dir path) with _ -> (try Sys.remove path with _ -> ()));
-               note
-                 (Diag.warning ~code:"IO400" ~subject:name
-                    "artifact does not deserialize; quarantined"))
-           | Some (Stale_version v) ->
-             stale := name :: !stale;
-             (try Sys.remove path with _ -> ());
-             note
-               (Diag.info ~code:"IO402" ~subject:name
-                  (Printf.sprintf "stale format %S (current %S); removed" v
-                     Chash.format_version))
-           | Some (Corrupt reason) ->
-             let code =
-               if String.length reason >= 9 && String.sub reason 0 9 = "truncated" then "IO401"
-               else "IO400"
-             in
-             quarantined := name :: !quarantined;
-             (try ignore (quarantine_file ~dir path) with _ -> (try Sys.remove path with _ -> ()));
-             note
-               (Diag.warning ~code ~subject:name
-                  (Printf.sprintf "corrupt artifact (%s); quarantined" reason))
-         end)
+         else if Filename.check_suffix name tape_kind.ext then check tape_kind name
+         else if Filename.check_suffix name accel_kind.ext then check accel_kind name)
        (Sys.readdir dir));
   {
     fsck_checked = !checked;

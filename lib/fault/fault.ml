@@ -526,24 +526,6 @@ module Net = struct
   let fault_count name =
     locked (fun () -> Option.value ~default:0 (Hashtbl.find_opt counts name))
 
-  (* splitmix64 finalizer — the verdict for frame [n] on [link] under
-     [seed] is a pure function of those three values. *)
-  let mix64 x =
-    let open Int64 in
-    let x = add x 0x9E3779B97F4A7C15L in
-    let x = mul (logxor x (shift_right_logical x 30)) 0xBF58476D1CE4E5B9L in
-    let x = mul (logxor x (shift_right_logical x 27)) 0x94D049BB133111EBL in
-    logxor x (shift_right_logical x 31)
-
-  let unit_float ~seed ~link ~n =
-    let h = ref (mix64 (Int64.of_int seed)) in
-    String.iter
-      (fun c -> h := mix64 (Int64.logxor !h (Int64.of_int (Char.code c))))
-      link;
-    h := mix64 (Int64.logxor !h (Int64.of_int n));
-    let bits = Int64.to_int (Int64.shift_right_logical !h 34) land ((1 lsl 30) - 1) in
-    float_of_int bits /. float_of_int (1 lsl 30)
-
   let decide ~link =
     let verdict =
       locked (fun () ->
@@ -554,13 +536,15 @@ module Net = struct
             match !armed with
             | None -> Deliver
             | Some p ->
-              let u = unit_float ~seed:p.nseed ~link ~n in
+              (* A pure function of (seed, link, frame ordinal). *)
+              let u = Soc_util.Rng.keyed_float ~seed:p.nseed ~key:link ~n in
               if u < p.drop then Drop
               else if u < p.drop +. p.delay then Delay p.delay_s
               else if u < p.drop +. p.delay +. p.duplicate then Duplicate
               else if u < p.drop +. p.delay +. p.duplicate +. p.truncate then
                 (* deterministic tear fraction in [0.1, 0.9) *)
-                Truncate (0.1 +. (0.8 *. unit_float ~seed:(p.nseed + 1) ~link ~n))
+                Truncate
+                  (0.1 +. (0.8 *. Soc_util.Rng.keyed_float ~seed:(p.nseed + 1) ~key:link ~n))
               else if u < p.drop +. p.delay +. p.duplicate +. p.truncate +. p.drip
               then Drip p.drip_s
               else Deliver)

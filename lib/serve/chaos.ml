@@ -95,15 +95,6 @@ let raw_send fd bytes =
 
 let raw_close fd = try Unix.close fd with Unix.Unix_error _ -> ()
 
-let frame_of payload =
-  let n = String.length payload in
-  let hdr = Bytes.create 4 in
-  Bytes.set_uint8 hdr 0 ((n lsr 24) land 0xff);
-  Bytes.set_uint8 hdr 1 ((n lsr 16) land 0xff);
-  Bytes.set_uint8 hdr 2 ((n lsr 8) land 0xff);
-  Bytes.set_uint8 hdr 3 (n land 0xff);
-  Bytes.to_string hdr ^ payload
-
 (* ---------------- the campaign ---------------- *)
 
 let run (cfg : config) : report =
@@ -205,9 +196,9 @@ let run (cfg : config) : report =
       let abuse =
         [ ("garbage", "\xde\xad\xbe\xef\xde\xad\xbe\xef");
           ("oversized header", "\x7f\xff\xff\xff");
-          ("truncated frame", String.sub (frame_of (String.make 100 'x')) 0 14);
+          ("truncated frame", String.sub (Protocol.frame (String.make 100 'x')) 0 14);
           ("empty disconnect", "");
-          ("bad json", frame_of "{not json") ]
+          ("bad json", Protocol.frame "{not json") ]
       in
       let wire_ok =
         List.for_all

@@ -116,23 +116,6 @@ type stats = {
   cancels : int;
 }
 
-(* Deterministic unit floats for jitter and rotation: a splitmix64
-   finalizer over (seed, key, ordinal), mirroring {!Soc_fault.Fault.Net}
-   so campaign replays are bit-stable. *)
-let mix64 x =
-  let open Int64 in
-  let x = add x 0x9E3779B97F4A7C15L in
-  let x = mul (logxor x (shift_right_logical x 30)) 0xBF58476D1CE4E5B9L in
-  let x = mul (logxor x (shift_right_logical x 27)) 0x94D049BB133111EBL in
-  logxor x (shift_right_logical x 31)
-
-let unit_float ~seed ~key ~n =
-  let h = ref (mix64 (Int64.of_int seed)) in
-  String.iter (fun c -> h := mix64 (Int64.logxor !h (Int64.of_int (Char.code c)))) key;
-  h := mix64 (Int64.logxor !h (Int64.of_int n));
-  let bits = Int64.to_int (Int64.shift_right_logical !h 34) land ((1 lsl 30) - 1) in
-  float_of_int bits /. float_of_int (1 lsl 30)
-
 let is_down t w =
   Mutex.lock t.lock;
   let d = w.down in
@@ -314,7 +297,9 @@ let build t ~source ~key ?deadline_ms () : (outcome, string) result =
   else begin
     (* Key-rotated worker order, live workers first: retries and hedges
        walk it so consecutive attempts land on different workers. *)
-    let start = int_of_float (unit_float ~seed:t.cfg.seed ~key ~n:0 *. float_of_int n) in
+    let start =
+      int_of_float (Soc_util.Rng.keyed_float ~seed:t.cfg.seed ~key ~n:0 *. float_of_int n)
+    in
     let rotated = List.init n (fun i -> t.workers.((start + i) mod n)) in
     let up, dn = List.partition (fun w -> not (is_down t w)) rotated in
     if up = [] then Error "fleet down: no live workers"
@@ -417,7 +402,7 @@ let build t ~source ~key ?deadline_ms () : (outcome, string) result =
               Atomic.incr t.s_retries;
               let backoff_ms =
                 float_of_int (t.cfg.retry_base_ms * (1 lsl min 6 (!retries_done - 1)))
-                *. (0.5 +. unit_float ~seed:t.cfg.seed ~key ~n:!retries_done)
+                *. (0.5 +. Soc_util.Rng.keyed_float ~seed:t.cfg.seed ~key ~n:!retries_done)
               in
               Thread.delay (backoff_ms /. 1000.0);
               launch !launched;

@@ -286,6 +286,13 @@ let read_frame ?max_len fd =
   | Ok r -> r
   | Error e -> raise (Framing_error (read_error_to_string e))
 
+let frame payload =
+  let len = String.length payload in
+  let b = Bytes.create (4 + len) in
+  Bytes.set_int32_be b 0 (Int32.of_int len);
+  Bytes.blit_string payload 0 b 4 len;
+  Bytes.unsafe_to_string b
+
 (* Labelled writes pass through the net-fault injector; unlabelled
    writes (ordinary client↔server traffic) never do. All verdicts are
    implemented here so the injector itself stays pure bookkeeping.
@@ -298,10 +305,7 @@ let write_frame ?link ?(max_len = max_frame_default) fd payload =
   if len > max_len then
     raise (Framing_error (Printf.sprintf "refusing to send %d-byte frame (limit %d)" len max_len));
   let total = 4 + len in
-  let frame = Bytes.create total in
-  Bytes.set_int32_be frame 0 (Int32.of_int len);
-  Bytes.blit_string payload 0 frame 4 len;
-  let frame = Bytes.unsafe_to_string frame in
+  let frame = frame payload in
   let emit () = write_all fd frame 0 total in
   match link with
   | None -> emit ()

@@ -60,6 +60,10 @@ val read_frame_checked :
 val read_frame : ?max_len:int -> Unix.file_descr -> string option
 (** {!read_frame_checked} with errors raised as {!Framing_error}. *)
 
+val frame : string -> string
+(** The bytes of one frame: the payload's 4-byte big-endian length, then
+    the payload. No size check. *)
+
 val write_frame : ?link:string -> ?max_len:int -> Unix.file_descr -> string -> unit
 (** [link] routes the write through {!Soc_fault.Fault.Net} — the frame
     may be dropped, delayed, duplicated, torn or dripped according to

@@ -491,6 +491,13 @@ let state_of_outcome (o : Coordinator.built Scheduler.outcome) : Protocol.reques
   | Scheduler.Failed m -> Protocol.Failed m
   | Scheduler.Expired -> Protocol.Expired
 
+(* Refuse new work, let the admitted work finish, and count it. *)
+let drain t =
+  Scheduler.drain t.sched;
+  Scheduler.quiesce t.sched;
+  let s = Scheduler.stats t.sched in
+  (s.Scheduler.completed, s.Scheduler.failed)
+
 let handle t (req : Protocol.request) : Protocol.response =
   match req with
   | Protocol.Ping -> Protocol.Pong
@@ -524,11 +531,8 @@ let handle t (req : Protocol.request) : Protocol.response =
     Protocol.Error_r "not a worker: this daemon takes builds via the submit op"
   | Protocol.Stats -> Protocol.Stats_r (stats t)
   | Protocol.Drain ->
-    Scheduler.drain t.sched;
-    Scheduler.quiesce t.sched;
-    let s = Scheduler.stats t.sched in
-    set_phase t (Drained (s.Scheduler.completed, s.Scheduler.failed));
-    Protocol.Drained { completed = s.Scheduler.completed; failed = s.Scheduler.failed }
+    let completed, failed = drain t in
+    Protocol.Drained { completed; failed }
   | Protocol.Explore _ ->
     (* Streamed at session level; reaching here means a decode bug. *)
     Protocol.Error_r "explore is a streaming op"
@@ -609,12 +613,19 @@ let handle_explore t reply
                  wall_ms = 1000.0 *. (t.cfg.clock () -. t0) }))
 
 (* The listener's handler: explore streams its frames, everything else
-   is one reply. *)
+   is one reply. A drain wakes {!wait} only once its reply has been
+   written: the waiter's {!stop} shuts every session socket, and would
+   otherwise cut the [Drained] frame off. *)
 let serve_request t reply = function
   | Protocol.Explore
       { strategy; seed; budget_pct; population; generations; samples; width; height } ->
     handle_explore t reply ~strategy ~seed ~budget_pct ~population ~generations ~samples
       ~width ~height
+  | Protocol.Drain ->
+    let completed, failed = drain t in
+    Fun.protect
+      ~finally:(fun () -> set_phase t (Drained (completed, failed)))
+      (fun () -> reply (Protocol.Drained { completed; failed }))
   | req -> reply (handle t req)
 
 (* ---------------- lifecycle ---------------- *)

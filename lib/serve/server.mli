@@ -114,4 +114,6 @@ val session_count : t -> int
 val handle : t -> Protocol.request -> Protocol.response
 (** One request against the server state, no socket involved — the
     session loop's body, exposed for direct unit tests. [Result] and
-    [Drain] block exactly as they do over the wire. *)
+    [Drain] block exactly as they do over the wire, but a [Drain] sent
+    here does not end {!wait}: the session loop does that once the
+    [Drained] reply is written. *)

@@ -149,13 +149,4 @@ module Histogram = struct
   let pp fmt t =
     Format.fprintf fmt "n=%d mean=%.6g p50=%.6g p95=%.6g p99=%.6g" (count t) (mean t)
       (p50 t) (p95 t) (p99 t)
-
-  let to_json t =
-    let buckets =
-      String.concat ","
-        (List.map (fun (le, n) -> Printf.sprintf "{\"le\":%.6g,\"n\":%d}" le n) (to_list t))
-    in
-    Printf.sprintf
-      "{\"count\":%d,\"sum\":%.6g,\"p50\":%.6g,\"p95\":%.6g,\"p99\":%.6g,\"buckets\":[%s]}"
-      (count t) (sum t) (p50 t) (p95 t) (p99 t) buckets
 end

@@ -61,5 +61,4 @@ module Histogram : sig
   (** Non-empty buckets as (upper bound, count), ascending. *)
 
   val pp : Format.formatter -> t -> unit
-  val to_json : t -> string
 end

@@ -12,12 +12,27 @@ let copy t = { state = t.state }
 
 let golden = 0x9E3779B97F4A7C15L
 
-let next_int64 t =
-  t.state <- Int64.add t.state golden;
-  let z = t.state in
+(* One splitmix64 output from state [z]: advance by the golden gamma,
+   then finalize. *)
+let mix64 z =
+  let z = Int64.add z golden in
   let z = Int64.mul (Int64.logxor z (Int64.shift_right_logical z 30)) 0xBF58476D1CE4E5B9L in
   let z = Int64.mul (Int64.logxor z (Int64.shift_right_logical z 27)) 0x94D049BB133111EBL in
   Int64.logxor z (Int64.shift_right_logical z 31)
+
+let next_int64 t =
+  let z = t.state in
+  t.state <- Int64.add z golden;
+  mix64 z
+
+(* Stateless: the seed, then every byte of the key, then the ordinal are
+   folded through [mix64]; the top 30 bits scale into [0, 1). *)
+let keyed_float ~seed ~key ~n =
+  let h = ref (mix64 (Int64.of_int seed)) in
+  String.iter (fun c -> h := mix64 (Int64.logxor !h (Int64.of_int (Char.code c)))) key;
+  h := mix64 (Int64.logxor !h (Int64.of_int n));
+  let bits = Int64.to_int (Int64.shift_right_logical !h 34) land ((1 lsl 30) - 1) in
+  float_of_int bits /. float_of_int (1 lsl 30)
 
 (* Uniform in [0, bound) for 0 < bound <= 2^62. *)
 let int t bound =

@@ -13,6 +13,11 @@ val copy : t -> t
 
 val next_int64 : t -> int64
 
+val keyed_float : seed:int -> key:string -> n:int -> float
+(** A pure hash of [(seed, key, n)] into [0, 1), for decisions that must
+    replay bit-for-bit without threading a generator: the [n]th fault
+    verdict on a link, the retry jitter for a request. *)
+
 val int : t -> int -> int
 (** [int t bound] is uniform in [0, bound); [bound] must be positive. *)
 

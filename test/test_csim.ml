@@ -341,6 +341,49 @@ let test_tape_cache_corruption_quarantined () =
       check Alcotest.bool "diagnostic emitted" true
         (Soc_farm.Cache.diags cache2 <> []))
 
+(* A tape entry from an older format version is stale, not corrupt: it
+   is counted, re-lowered and noted once per run (IO402), like a stale
+   accelerator entry. *)
+let test_tape_cache_stale_noted () =
+  let dir = Filename.temp_file "soctape" ".cache" in
+  Sys.remove dir;
+  Fun.protect
+    ~finally:(fun () -> Engine.install_tape_cache None)
+    (fun () ->
+      let net, _ = random_netlist 13 in
+      let cache = Soc_farm.Cache.create ~disk_dir:dir () in
+      Soc_farm.Cache.enable_tape_cache cache;
+      ignore (Engine.create net);
+      (* Rewrite every tape entry's header under an older format version;
+         the payload digest still matches. *)
+      Array.iter
+        (fun f ->
+          if Filename.check_suffix f ".tape" then begin
+            let path = Filename.concat dir f in
+            let raw = In_channel.with_open_bin path In_channel.input_all in
+            let nl = String.index raw '\n' in
+            match String.split_on_char ' ' (String.sub raw 0 nl) with
+            | [ magic; _version; dg; len ] ->
+              Out_channel.with_open_bin path (fun oc ->
+                  Out_channel.output_string oc
+                    (Printf.sprintf "%s soc-farm-chash-v0 %s %s%s" magic dg len
+                       (String.sub raw nl (String.length raw - nl))))
+            | _ -> Alcotest.fail "unexpected tape header"
+          end)
+        (Sys.readdir dir);
+      let cache2 = Soc_farm.Cache.create ~disk_dir:dir () in
+      Soc_farm.Cache.enable_tape_cache cache2;
+      let l0 = Engine.lowering_count () in
+      ignore (Engine.create net);
+      check Alcotest.int "stale entry re-lowered" (l0 + 1) (Engine.lowering_count ());
+      let st = Soc_farm.Cache.stats cache2 in
+      check Alcotest.int "stale read counted" 1 st.Soc_farm.Cache.stale;
+      check Alcotest.int "none quarantined" 0 st.Soc_farm.Cache.quarantined;
+      let io402 =
+        List.filter (fun d -> d.Soc_util.Diag.code = "IO402") (Soc_farm.Cache.diags cache2)
+      in
+      check Alcotest.int "version mismatch noted once" 1 (List.length io402))
+
 (* A lowering failure must never fail the caller: the engine falls back
    to the interpreter, counts it, and remembers the bad key so repeat
    instantiations skip straight past the broken compile. *)
@@ -553,4 +596,6 @@ let suite =
       test_program_reuse_needs_equal_tape;
     Alcotest.test_case "VCD byte-identical across backends (Otsu)" `Quick
       test_vcd_byte_identical_on_otsu;
+    Alcotest.test_case "farm tape cache: stale entry noted once" `Quick
+      test_tape_cache_stale_noted;
   ]

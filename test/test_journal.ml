@@ -222,6 +222,29 @@ let test_stale_version_noted_once () =
   let io402 = List.filter (fun d -> d.Diag.code = "IO402") (Cache.diags c2) in
   check Alcotest.int "version mismatch noted exactly once per run" 1 (List.length io402)
 
+(* A payload whose digest verifies but which does not unmarshal (a writer
+   bug or a cross-compiler artifact) is corrupt like any other entry:
+   quarantined, counted, logged as IO400 and rebuilt. *)
+let test_undeserializable_entry_quarantined () =
+  let dir = fresh_dir "socmarshal" in
+  let clean = Farm.build_batch ~jobs:1 ~cache:(Cache.create ~disk_dir:dir ()) (entry1 ()) in
+  let victim = List.hd (artifact_files dir) in
+  let payload = "not a marshalled accelerator" in
+  write_file_raw (Filename.concat dir victim)
+    (Printf.sprintf "soc-accel %s %s %d\n%s" Chash.format_version
+       (Chash.to_hex (Chash.digest payload))
+       (String.length payload) payload);
+  let c2 = Cache.create ~disk_dir:dir () in
+  let r = Farm.build_batch ~jobs:1 ~cache:c2 (entry1 ()) in
+  check Alcotest.int "counted as quarantined" 1 (Cache.stats c2).Cache.quarantined;
+  check Alcotest.bool "IO400 logged for the entry" true
+    (List.exists
+       (fun d -> d.Diag.code = "IO400" && d.Diag.subject = victim)
+       (Cache.diags c2));
+  check Alcotest.bool "moved to quarantine" true
+    (Sys.file_exists (Filename.concat (Filename.concat dir "quarantine") victim));
+  check Alcotest.bool "rebuilt bit-identical" true (digests r = digests clean)
+
 let test_doctor_fsck_repairs () =
   let dir = fresh_dir "socfsck" in
   ignore (Farm.build_batch ~jobs:1 ~cache:(Cache.create ~disk_dir:dir ()) (entry1 ()));
@@ -412,4 +435,6 @@ let suite =
     qtest prop_doctor_never_raises;
     ("cache: LRU cap spares journal-live entries", `Quick, test_lru_cap_spares_protected);
     ("kill-point campaign: resume == uninterrupted", `Slow, test_kill_point_campaign);
-    qtest prop_random_kill_resume ]
+    qtest prop_random_kill_resume;
+    ("cache: undeserializable entry quarantined", `Quick,
+     test_undeserializable_entry_quarantined) ]

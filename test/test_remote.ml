@@ -55,18 +55,6 @@ let with_faults f =
       Cengine.clear_degraded ())
     f
 
-let eventually ?(for_s = 5.0) p =
-  let deadline = Unix.gettimeofday () +. for_s in
-  let rec go () =
-    if p () then true
-    else if Unix.gettimeofday () > deadline then false
-    else begin
-      Thread.delay 0.01;
-      go ()
-    end
-  in
-  go ()
-
 let with_worker ?cache_dir ?(worker_id = "worker") f =
   let wk =
     Remote.start
@@ -95,13 +83,6 @@ let coord_config ?(retries = 3) ?(retry_base_ms = 10) ?hedge_after_ms endpoints 
   { Coordinator.default_config with
     endpoints; retries; retry_base_ms; hedge_after_ms;
     heartbeat_interval_ms = quiet_beats; rpc_timeout_ms = 10_000 }
-
-let raw_connect port =
-  let fd = Unix.socket Unix.PF_INET Unix.SOCK_STREAM 0 in
-  Unix.connect fd (Unix.ADDR_INET (Unix.inet_addr_of_string "127.0.0.1", port));
-  fd
-
-let raw_close fd = try Unix.close fd with Unix.Unix_error _ -> ()
 
 (* ------------------------------------------------------------------ *)
 (* Protocol v2: typed read errors                                      *)
@@ -257,7 +238,7 @@ let test_worker_idempotent_duplicate () =
           let r1 = ref Protocol.Pong and r2 = ref Protocol.Pong in
           let t1 = Thread.create (fun () -> r1 := build ()) () in
           check bool "first build in flight" true
-            (eventually (fun () -> Remote.in_flight wk = 1));
+            (Tstr.eventually (fun () -> Remote.in_flight wk = 1));
           let t2 = Thread.create (fun () -> r2 := build ()) () in
           Thread.delay 0.15;
           Fault.Service.release_hangs ();
@@ -287,7 +268,7 @@ let test_worker_cancel_interrupts_hang () =
               ()
           in
           check bool "build wedged in the injected hang" true
-            (eventually (fun () -> Remote.in_flight wk = 1));
+            (Tstr.eventually (fun () -> Remote.in_flight wk = 1));
           Thread.delay 0.05;
           (match Remote.handle wk (Protocol.Cancel { key = "c1" }) with
           | Protocol.Cancelled_r { was_running; key } ->
@@ -337,9 +318,9 @@ let test_frame_too_large_structured () =
      rejection, then hang up — never allocate or desync. *)
   let oversized_hdr = "\x7f\xff\xff\xff" in
   let expect_rejection port =
-    let fd = raw_connect port in
+    let fd = Tstr.raw_connect port in
     Fun.protect
-      ~finally:(fun () -> raw_close fd)
+      ~finally:(fun () -> Tstr.raw_close fd)
       (fun () ->
         ignore (Unix.write fd (Bytes.of_string oversized_hdr) 0 4);
         (match Protocol.recv fd with
@@ -434,7 +415,7 @@ let test_coordinator_hedge () =
                   check bool "a hedge was launched" true
                     (s.Coordinator.hedges >= 1);
                   check bool "the loser was cancelled" true
-                    (eventually (fun () ->
+                    (Tstr.eventually (fun () ->
                          (Coordinator.stats co).Coordinator.cancels >= 1
                          || Remote.cancel_hits w0 + Remote.cancel_hits w1 >= 1));
                   Fault.Service.release_hangs ()))))
@@ -524,7 +505,7 @@ let test_server_fleet_coalesce () =
                 | _ -> Alcotest.fail "expected Accepted"
               in
               check bool "dispatched to the worker" true
-                (eventually (fun () -> Remote.in_flight wk = 1));
+                (Tstr.eventually (fun () -> Remote.in_flight wk = 1));
               let id2 =
                 match Client.submit client source with
                 | Protocol.Accepted { id; coalesced; _ } ->

@@ -84,37 +84,6 @@ let with_faults f =
       Cengine.clear_degraded ())
     f
 
-(* Poll [p] every 10 ms for up to [for_s] seconds of real time. *)
-let eventually ?(for_s = 5.0) p =
-  let deadline = Unix.gettimeofday () +. for_s in
-  let rec go () =
-    if p () then true
-    else if Unix.gettimeofday () > deadline then false
-    else begin
-      Thread.delay 0.01;
-      go ()
-    end
-  in
-  go ()
-
-(* Raw TCP for wire-abuse tests, bypassing the Client framing. *)
-let raw_connect port =
-  let fd = Unix.socket Unix.PF_INET Unix.SOCK_STREAM 0 in
-  Unix.connect fd (Unix.ADDR_INET (Unix.inet_addr_of_string "127.0.0.1", port));
-  fd
-
-let raw_send fd s =
-  let b = Bytes.of_string s in
-  (try ignore (Unix.write fd b 0 (Bytes.length b)) with Unix.Unix_error _ -> ())
-
-let raw_close fd = try Unix.close fd with Unix.Unix_error _ -> ()
-
-let frame_of payload =
-  let n = String.length payload in
-  let hdr = Bytes.create 4 in
-  Bytes.set_int32_be hdr 0 (Int32.of_int n);
-  Bytes.to_string hdr ^ payload
-
 (* ------------------------------------------------------------------ *)
 (* Protocol: JSON                                                      *)
 (* ------------------------------------------------------------------ *)
@@ -681,6 +650,30 @@ let test_serve_drain () =
       check Alcotest.bool "server observed the drain" true
         (Server.wait srv = `Drained (1, 0)))
 
+(* The [Drained] reply must reach the client even when the daemon's
+   owner stops the server as soon as [wait] returns, as [socdsl serve]
+   does: the stop shuts every session socket, so the phase change that
+   ends [wait] has to follow the reply onto the wire. The race window is
+   narrow, so the drain is repeated on fresh servers. *)
+let test_serve_drain_reply_survives_stop () =
+  for _ = 1 to 200 do
+    let srv = Server.start { Server.default_config with kernels = kernel_library () } in
+    let owner =
+      Thread.create
+        (fun () ->
+          ignore (Server.wait srv);
+          Server.stop srv)
+        ()
+    in
+    let client = Client.connect ~port:(Server.port srv) () in
+    let drained = try Some (Client.drain client) with _ -> None in
+    Client.close client;
+    Thread.join owner;
+    check
+      Alcotest.(option (pair int int))
+      "drain reply delivered" (Some (0, 0)) drained
+  done
+
 let test_serve_kill_and_restart () =
   let dir = fresh_dir "socserve" in
   (* Phase 1: armed crash point fires inside the build, after HLS
@@ -862,7 +855,7 @@ let test_serve_worker_crash_supervised () =
             Alcotest.failf "expected Failed, got %s"
               Protocol.(to_string (encode_response r)));
           check Alcotest.bool "supervisor restores the pool" true
-            (eventually (fun () ->
+            (Tstr.eventually (fun () ->
                  Server.live_workers srv = 2
                  && (Server.stats srv).Protocol.worker_restarts >= 1));
           check Alcotest.bool "pool not degraded" false (Server.is_degraded srv);
@@ -883,7 +876,7 @@ let test_serve_degraded_pool () =
           (* Zero restart budget: the dead worker is not replaced and the
              pool is declared degraded. *)
           check Alcotest.bool "pool declared degraded" true
-            (eventually (fun () -> Server.is_degraded srv));
+            (Tstr.eventually (fun () -> Server.is_degraded srv));
           check Alcotest.int "no live workers left" 0 (Server.live_workers srv);
           check Alcotest.bool "stats carry the flag" true
             (Server.stats srv).Protocol.degraded;
@@ -904,7 +897,7 @@ let test_serve_watchdog_expires_wedged_build () =
           Fault.Service.arm Fault.Service.Hls ~times:1 (Fault.Service.Hang 30.0);
           let id, _ = submit_ok client ~deadline_ms:100 (arch_source Graphs.Arch1) in
           check Alcotest.bool "build wedged in flight" true
-            (eventually (fun () -> (Server.stats srv).Protocol.running = 1));
+            (Tstr.eventually (fun () -> (Server.stats srv).Protocol.running = 1));
           now := 1.0;
           (match Client.result client id with
           | Protocol.Result_r { state = Protocol.Expired; _ } -> ()
@@ -915,7 +908,7 @@ let test_serve_watchdog_expires_wedged_build () =
             (Server.stats srv).Protocol.watchdog_fires;
           Fault.Service.release_hangs ();
           check Alcotest.bool "replacement restores the pool" true
-            (eventually (fun () ->
+            (Tstr.eventually (fun () ->
                  Server.live_workers srv = 1
                  && (Server.stats srv).Protocol.worker_restarts >= 1));
           let id2, _ = submit_ok client (arch_source Graphs.Arch2) in
@@ -1029,7 +1022,7 @@ let test_serve_idle_session_timeout () =
       in
       check Alcotest.bool "idle session dropped" true dropped;
       check Alcotest.bool "session slot reclaimed" true
-        (eventually (fun () -> Server.session_count srv = 0));
+        (Tstr.eventually (fun () -> Server.session_count srv = 0));
       let c2 = Client.connect ~port:(Server.port srv) () in
       Fun.protect
         ~finally:(fun () -> Client.close c2)
@@ -1039,28 +1032,28 @@ let test_serve_wire_fuzz () =
   with_server ~workers:1 (fun srv client ->
       let rng = Random.State.make [| 0xC0FFEE |] in
       let attack i =
-        let fd = raw_connect (Server.port srv) in
+        let fd = Tstr.raw_connect (Server.port srv) in
         (match i mod 5 with
         | 0 ->
           (* random garbage bytes *)
           let n = 1 + Random.State.int rng 64 in
-          raw_send fd (String.init n (fun _ -> Char.chr (Random.State.int rng 256)))
+          Tstr.raw_send fd (String.init n (fun _ -> Char.chr (Random.State.int rng 256)))
         | 1 ->
           (* absurd length prefix *)
-          raw_send fd "\x7f\xff\xff\xffjunk"
+          Tstr.raw_send fd "\x7f\xff\xff\xffjunk"
         | 2 ->
           (* truncated frame: header promises bytes that never come *)
           let hdr = Bytes.create 4 in
           Bytes.set_int32_be hdr 0 (Int32.of_int (64 + Random.State.int rng 1000));
-          raw_send fd (Bytes.to_string hdr ^ "abc")
+          Tstr.raw_send fd (Bytes.to_string hdr ^ "abc")
         | 3 -> () (* connect-and-vanish *)
         | _ ->
           (* well-framed payload that is not JSON *)
-          raw_send fd
-            (frame_of
+          Tstr.raw_send fd
+            (Protocol.frame
                (String.init (Random.State.int rng 32) (fun _ ->
                     Char.chr (32 + Random.State.int rng 95)))));
-        raw_close fd
+        Tstr.raw_close fd
       in
       for i = 0 to 59 do
         attack i;
@@ -1069,7 +1062,7 @@ let test_serve_wire_fuzz () =
             (Client.ping client)
       done;
       check Alcotest.bool "abusive sessions all reaped" true
-        (eventually (fun () -> Server.session_count srv = 1));
+        (Tstr.eventually (fun () -> Server.session_count srv = 1));
       (* Still a fully functional daemon, not merely a responsive one. *)
       let id, _ = submit_ok client (arch_source Graphs.Arch1) in
       ignore (result_done client id))
@@ -1130,4 +1123,6 @@ let suite =
     ("serve: wire abuse never takes the daemon down", `Quick, test_serve_wire_fuzz);
     ("serve: 50 pings on one connection stay fast", `Quick, test_serve_ping_round_trips);
     qtest prop_json_roundtrip;
+    ("serve: drain reply survives an immediate stop", `Quick,
+     test_serve_drain_reply_survives_stop);
   ]

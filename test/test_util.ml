@@ -244,10 +244,7 @@ let test_histogram_to_list_deterministic () =
     [ (1.0, 1); (2.0, 1); (4.0, 1); (8.0, 1); (8.0, 1) ]
     (Metrics.Histogram.to_list hst);
   check Alcotest.string "pp renders the quantiles" "n=5 mean=22.2 p50=4 p95=8 p99=8"
-    (Format.asprintf "%a" Metrics.Histogram.pp hst);
-  check Alcotest.bool "json carries count and buckets" true
-    (let j = Metrics.Histogram.to_json hst in
-     Tstr.contains j "\"count\":5" && Tstr.contains j "\"le\":1")
+    (Format.asprintf "%a" Metrics.Histogram.pp hst)
 
 let test_histogram_validation () =
   List.iter

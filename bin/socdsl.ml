@@ -347,6 +347,8 @@ let metrics_cmd =
 
 (* ---------------- build / farm shared crash-safety plumbing ---------------- *)
 
+let kill_stages = String.concat ", " Soc_farm.Jobgraph.stages
+
 let kill_at_conv =
   let parse s =
     let bad = `Msg "expected STAGE:INDEX, e.g. hls:2 or synth:0" in
@@ -356,7 +358,9 @@ let kill_at_conv =
       let stage = String.sub s 0 i
       and idx = String.sub s (i + 1) (String.length s - i - 1) in
       match int_of_string_opt idx with
-      | Some k when k >= 0 && stage <> "" -> Ok (Soc_fault.Fault.Kill_at (stage, k))
+      | Some k when k >= 0 ->
+        if List.mem stage Soc_farm.Jobgraph.stages then Ok (Soc_fault.Fault.Kill_at (stage, k))
+        else Error (`Msg (Printf.sprintf "unknown stage %S (stages: %s)" stage kill_stages))
       | _ -> Error bad)
   in
   let print ppf (Soc_fault.Fault.Kill_at (s, k)) = Format.fprintf ppf "%s:%d" s k in
@@ -364,10 +368,9 @@ let kill_at_conv =
 
 let kill_arg =
   Arg.(value & opt (some kill_at_conv) None & info [ "kill-at" ] ~docv:"STAGE:K"
-       ~doc:"Crash-test the journal: simulate process death the instant the \
-             K-th job of STAGE (preflight, hls, integrate, synth, swgen, \
-             estimate, finalize) is journaled in-flight. The run exits 137 \
-             with the journal sealed; rerun with --resume.")
+       ~doc:("Crash-test the journal: simulate process death the instant the \
+              K-th job of STAGE (" ^ kill_stages ^ ") is journaled in-flight. \
+              The run exits 137 with the journal sealed; rerun with --resume."))
 
 let resume_arg =
   Arg.(value & flag & info [ "resume" ]
@@ -453,61 +456,37 @@ let build_cmd =
         (String.concat ", " (List.map fst (builtin_kernels ())));
       exit 1
     end;
-    let module Fault = Soc_fault.Fault in
-    let module Journal = Soc_farm.Journal in
-    let cache =
-      match cache_dir with
-      | None -> None
-      | Some _ -> Some (Soc_farm.Cache.create ?disk_dir:cache_dir ?max_mb ())
-    in
-    Option.iter Soc_farm.Cache.enable_tape_cache cache;
+    let entry = Soc_farm.Jobgraph.entry_of ~library:(builtin_kernels ()) spec in
+    let cache = Soc_farm.Cache.create ?disk_dir:cache_dir ?max_mb () in
     let journal = open_journal ~resume cache_dir in
     report_replay journal;
-    let jappend e = Option.iter (fun j -> Journal.append j e) journal in
-    (* The serial flow journals each stage: Done for the previous stage is
-       written when the next one starts (the flow only exposes stage
-       entries), so a kill leaves exactly one in-flight entry. Skipping on
-       resume happens through the verified disk cache underneath. *)
-    let inj = Fault.arm kill in
-    let current = ref None in
-    let finish () =
-      Option.iter
-        (fun (cat, label) -> jappend (Journal.Done { stage = cat; label; key = "" }))
-        !current;
-      current := None
-    in
-    let on_stage label =
-      finish ();
-      let cat =
-        match String.index_opt label ':' with
-        | Some i -> String.sub label 0 i
-        | None -> label
-      in
-      jappend (Journal.Start { stage = cat; label; key = "" });
-      current := Some (cat, label);
-      try Fault.crash_step inj ~stage:cat
-      with Fault.Killed _ as e ->
-        Option.iter Journal.seal journal;
-        raise e
-    in
-    match
-      Soc_core.Flow.build
-        ?hls:(Option.map Soc_farm.Cache.hls_engine cache)
-        ~on_stage spec ~kernels:(builtin_kernels ())
-    with
-    | exception Fault.Killed (s, k) -> die_killed s k
-    | exception Soc_core.Flow.Build_error msg ->
-      prerr_endline ("socdsl: " ^ msg);
+    (* A design static analysis rejects is refused with its diagnostics,
+       as plain text, before the batch. *)
+    (try Soc_core.Flow.check_pre_flight spec ~kernels:entry.Soc_farm.Jobgraph.kernels
+     with Soc_core.Flow.Build_error msg ->
+       prerr_endline ("socdsl: " ^ msg);
+       exit 1);
+    match Soc_farm.Farm.build_batch ~jobs:1 ~cache ?journal ?kill [ entry ] with
+    | exception Soc_fault.Fault.Killed (s, k) -> die_killed s k
+    | { Soc_farm.Farm.builds = []; failures; _ } ->
+      List.iter
+        (fun f -> Format.eprintf "socdsl: FAILED %a@." Soc_farm.Pool.pp_failure f)
+        failures;
       exit 1
-    | b ->
-      finish ();
-      jappend (Journal.Batch_done { ok = 1; failed = 0 });
-      Option.iter Journal.close journal;
-      Option.iter
-        (fun c ->
-          print_endline (Soc_farm.Cache.render_stats c);
-          print_cache_diags c)
-        cache;
+    | { Soc_farm.Farm.builds = (_, b) :: _; _ } ->
+      Option.iter Soc_farm.Journal.close journal;
+      (* Ship each accelerator's compiled simulator tape with the build: a
+         warm rebuild serves them back from the cache without lowering. *)
+      if cache_dir <> None then begin
+        Soc_farm.Cache.enable_tape_cache cache;
+        List.iter
+          (fun (impl : Soc_core.Flow.node_impl) ->
+            Soc_rtl_compile.Engine.precompile
+              impl.Soc_core.Flow.accel.Soc_hls.Engine.fsmd.Soc_hls.Fsmd.netlist)
+          b.Soc_core.Flow.impls;
+        print_endline (Soc_farm.Cache.render_stats cache);
+        print_cache_diags cache
+      end;
       Printf.printf "%s: flow complete\n" spec.Soc_core.Spec.design_name;
       Printf.printf "bitstream artifact: %s\n" b.Soc_core.Flow.bitstream;
       Printf.printf "resources: %s\n"

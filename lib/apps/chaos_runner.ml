@@ -5,7 +5,6 @@
     model. One {!outcome} holds the recovery report, the full fault
     narrative and the verdict. *)
 
-open Soc_core
 module Exec = Soc_platform.Executive
 module Fault = Soc_fault.Fault
 
@@ -17,36 +16,33 @@ type outcome = {
   cycles : int;
 }
 
-(* Per-architecture verification hook: check the region of DRAM the
-   hardware phase was responsible for against the golden model. *)
-let phase_verify exec (rgb : Image.rgb_image) pixels (arch : Graphs.arch) () =
-  let dram = Exec.dram exec in
-  let gray = Otsu.Golden.gray_scale rgb in
-  match arch with
-  | Graphs.Arch1 ->
-    let expected = Image.histogram gray in
-    let got = Soc_axi.Dram.read_block dram ~addr:Otsu_runner.hist_addr ~len:256 in
-    expected = got
-  | Graphs.Arch2 | Graphs.Arch3 ->
-    let expected = Otsu.Golden.otsu_threshold (Image.histogram gray) ~total:pixels in
-    Soc_axi.Dram.read dram Otsu_runner.thresh_addr = expected
-  | Graphs.Arch4 ->
-    let golden, _ = Otsu.Golden.run rgb in
-    let got = Soc_axi.Dram.read_block dram ~addr:Otsu_runner.out_addr ~len:pixels in
-    golden.Image.pixels = got
+(* Verification hook of the hardware phase: every buffer it drains to
+   DRAM holds its golden value. *)
+let drains_golden (h : Otsu_runner.host) (ph : Otsu_runner.phases) () =
+  let pixels = h.Otsu_runner.width * h.Otsu_runner.height in
+  let gray = Otsu.Golden.gray_scale h.Otsu_runner.rgb in
+  let golden = function
+    | "imageOutCH" | "imageOutSEG" -> gray.Image.pixels
+    | "histogram" -> Image.histogram gray
+    | "probability" -> [| Otsu.Golden.otsu_threshold (Image.histogram gray) ~total:pixels |]
+    | _ (* segmentedGrayImage *) -> (fst (Otsu.Golden.run h.Otsu_runner.rgb)).Image.pixels
+  in
+  List.for_all
+    (fun (node, port) ->
+      let addr, len = Otsu_runner.buffer ~pixels node port in
+      Soc_axi.Dram.read_block (Exec.dram h.Otsu_runner.exec) ~addr ~len = golden port)
+    ph.Otsu_runner.drains
 
 let default_horizon = 20_000
 
 let run ?(width = 32) ?(height = 32) ?(image_seed = 42) ?(fallback = true)
     ?(n_faults = 4) ?(horizon = default_horizon) ?include_permanent ?include_bit_flips
     ?scenario ?timeout ~seed (arch : Graphs.arch) : outcome =
-  let pixels = width * height in
-  let rgb = Image.synthetic_rgb ~seed:image_seed ~width ~height () in
   let _build, live = Otsu_runner.build_arch ~width ~height arch in
-  let exec = live.Flow.exec in
-  Otsu_runner.load_image exec rgb;
+  let h = Otsu_runner.boot ~seed:image_seed ~width ~height (Some live) in
+  let exec = h.Otsu_runner.exec in
   let t0 = Exec.elapsed_cycles exec in
-  let ph = Otsu_runner.arch_phases ~width ~height live arch in
+  let ph = Otsu_runner.phases h in
   ph.Otsu_runner.pre ();
   (* Arm the campaign only around the hardware phase: injection cycles are
      relative to this point, and the faults target exactly the accelerated
@@ -57,12 +53,10 @@ let run ?(width = 32) ?(height = 32) ?(image_seed = 42) ?(fallback = true)
     match scenario with
     | Some faults -> Fault.plan_of_faults ~seed faults
     | None ->
-      let inv =
-        Exec.inventory ~dram_range:(Otsu_runner.out_addr, pixels) exec
-      in
+      let dram_range = Otsu_runner.buffer ~pixels:(width * height) "segment" "segmentedGrayImage" in
       Fault.plan_of_faults ~seed
         (Fault.random_campaign ~seed ~n:n_faults ~horizon ?include_permanent
-           ?include_bit_flips inv)
+           ?include_bit_flips (Exec.inventory ~dram_range exec))
   in
   Exec.set_fault_plan exec plan;
   let report =
@@ -70,24 +64,20 @@ let run ?(width = 32) ?(height = 32) ?(image_seed = 42) ?(fallback = true)
       ~finally:(fun () -> Exec.clear_fault_plan exec)
       (fun () ->
         Exec.run_task_resilient exec ~task:ph.Otsu_runner.task ?timeout
-          ~verify:(phase_verify exec rgb pixels arch)
+          ~verify:(drains_golden h ph)
           ?fallback:(if fallback then Some ph.Otsu_runner.sw_fallback else None)
           ph.Otsu_runner.hw)
   in
   ph.Otsu_runner.post ();
   let cycles = Exec.elapsed_cycles exec - t0 in
-  let golden, golden_thresh = Otsu.Golden.run rgb in
-  let output = Otsu_runner.read_output exec ~width ~height in
-  let thresh_ok =
-    (* Arch4 keeps the threshold on an internal stream, never in DRAM. *)
-    arch = Graphs.Arch4
-    || Soc_axi.Dram.read (Exec.dram exec) Otsu_runner.thresh_addr = golden_thresh
-  in
+  let golden, golden_thresh = Otsu.Golden.run h.Otsu_runner.rgb in
   {
     arch;
     plan;
     report;
-    output_ok = Image.equal output golden && thresh_ok;
+    output_ok =
+      Image.equal (Otsu_runner.read_output h) golden
+      && Otsu_runner.read_threshold h = golden_thresh;
     cycles;
   }
 

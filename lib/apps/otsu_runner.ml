@@ -1,11 +1,8 @@
-(** Host programs for the four case-study architectures (plus an all-
-    software baseline): the equivalent of the application binaries the
-    paper's flow produces for the Zedboard, executed on the simulated
-    platform via the driver API of {!Soc_platform.Executive}.
-
-    Every variant computes the same segmented image; the golden model
-    checks bit-exactness, and the timeline gives the HW/SW speedup data
-    for the extension benches. *)
+(** The Otsu host program, executed on the simulated platform through the
+    driver API of {!Soc_platform.Executive}. One plan serves every
+    design: the stages its spec names run in hardware, each maximal run
+    as one concurrent streaming phase; every other stage runs on the GPP
+    model. *)
 
 open Soc_core
 module Exec = Soc_platform.Executive
@@ -19,6 +16,16 @@ type result = {
   build : Flow.build option; (* None for the all-software baseline *)
 }
 
+(* The application pipeline in order: each stage's node with its input
+   and output stream ports. *)
+let stages =
+  [
+    ("grayScale", [ "imageIn" ], [ "imageOutCH"; "imageOutSEG" ]);
+    ("computeHistogram", [ "grayScaleImage" ], [ "histogram" ]);
+    ("halfProbability", [ "histogram" ], [ "probability" ]);
+    ("segment", [ "grayScaleImage"; "otsuThreshold" ], [ "segmentedGrayImage" ]);
+  ]
+
 (* DRAM layout (word addresses). *)
 let rgb_addr = 0x1000
 let gray_ch_addr = 0x20000
@@ -27,180 +34,151 @@ let hist_addr = 0x40000
 let thresh_addr = 0x40400
 let out_addr = 0x50000
 
-let load_image (exec : Exec.t) (rgb : Image.rgb_image) =
-  Soc_axi.Dram.write_block (Exec.dram exec) ~addr:rgb_addr rgb.Image.rgb
+let buffer ~pixels node port =
+  match (node, port) with
+  | "grayScale", "imageIn" -> (rgb_addr, pixels)
+  | ("grayScale", "imageOutCH" | "computeHistogram", "grayScaleImage") -> (gray_ch_addr, pixels)
+  | ("grayScale", "imageOutSEG" | "segment", "grayScaleImage") -> (gray_seg_addr, pixels)
+  | ("computeHistogram" | "halfProbability"), "histogram" -> (hist_addr, 256)
+  | ("halfProbability", "probability" | "segment", "otsuThreshold") -> (thresh_addr, 1)
+  | "segment", "segmentedGrayImage" -> (out_addr, pixels)
+  | _ -> invalid_arg (Printf.sprintf "Otsu_runner.buffer: %s.%s" node port)
 
-let read_output (exec : Exec.t) ~width ~height =
-  let n = width * height in
-  let data = Soc_axi.Dram.read_block (Exec.dram exec) ~addr:out_addr ~len:n in
-  { Image.width; height; pixels = data }
+type step = Sw of string | Hw of string list
 
-(* Software executions of the individual tasks on the GPP model. *)
-module Sw = struct
-  let gray_scale exec ~kernels ~pixels =
+let plan (spec : Spec.t option) =
+  let in_hw node =
+    match spec with
+    | None -> false
+    | Some s -> List.exists (fun (n : Spec.node_spec) -> n.Spec.node_name = node) s.Spec.nodes
+  in
+  List.fold_right
+    (fun (node, _, _) steps ->
+      match steps with
+      | Hw run :: rest when in_hw node -> Hw (node :: run) :: rest
+      | _ -> (if in_hw node then Hw [ node ] else Sw node) :: steps)
+    stages []
+
+type host = {
+  exec : Exec.t;
+  live : Flow.live option;
+  rgb : Image.rgb_image;
+  width : int;
+  height : int;
+}
+
+let spec_of (h : host) = Option.map (fun (l : Flow.live) -> l.Flow.lbuild.Flow.spec) h.live
+
+let boot ?(seed = 42) ~width ~height (live : Flow.live option) =
+  let exec =
+    match live with
+    | Some l -> l.Flow.exec
+    | None -> Exec.create (Soc_platform.System.create ())
+  in
+  let rgb = Image.synthetic_rgb ~seed ~width ~height () in
+  Soc_axi.Dram.write_block (Exec.dram exec) ~addr:rgb_addr rgb.Image.rgb;
+  { exec; live; rgb; width; height }
+
+(* One step's driver calls. A hardware run starts its accelerators, arms
+   the drain DMAs before the feeds, and runs the phase. *)
+let run_step (h : host) ~kernels step =
+  let pixels = h.width * h.height in
+  match step with
+  | Sw node ->
+    let _, ins, outs = List.find (fun (n, _, _) -> n = node) stages in
+    let bufs = List.map (fun port -> (port, buffer ~pixels node port)) in
     ignore
-      (Exec.run_software exec (List.assoc "grayScale" kernels) ~scalars:[]
-         ~stream_bufs_in:[ ("imageIn", (rgb_addr, pixels)) ]
-         ~stream_bufs_out:
-           [ ("imageOutCH", (gray_ch_addr, pixels)); ("imageOutSEG", (gray_seg_addr, pixels)) ])
+      (Exec.run_software h.exec (List.assoc node kernels) ~scalars:[]
+         ~stream_bufs_in:(bufs ins) ~stream_bufs_out:(bufs outs))
+  | Hw run ->
+    let live = Option.get h.live in
+    let spec = live.Flow.lbuild.Flow.spec in
+    List.iter (Exec.start_accel h.exec) run;
+    let arm start links =
+      List.iter
+        (fun (node, port) ->
+          if List.mem node run then
+            let addr, len = buffer ~pixels node port in
+            start h.exec ~channel:(Flow.channel live ~node ~port) ~addr ~len)
+        links
+    in
+    arm Exec.start_read_dma (Spec.node_to_soc_links spec);
+    arm Exec.start_write_dma (Spec.soc_to_node_links spec);
+    Exec.run_phase h.exec ~accels:run
 
-  let histogram exec ~kernels ~pixels =
-    ignore
-      (Exec.run_software exec (List.assoc "computeHistogram" kernels) ~scalars:[]
-         ~stream_bufs_in:[ ("grayScaleImage", (gray_ch_addr, pixels)) ]
-         ~stream_bufs_out:[ ("histogram", (hist_addr, 256)) ])
-
-  let otsu_method exec ~kernels =
-    ignore
-      (Exec.run_software exec (List.assoc "halfProbability" kernels) ~scalars:[]
-         ~stream_bufs_in:[ ("histogram", (hist_addr, 256)) ]
-         ~stream_bufs_out:[ ("probability", (thresh_addr, 1)) ])
-
-  let segment exec ~kernels ~pixels =
-    ignore
-      (Exec.run_software exec (List.assoc "segment" kernels) ~scalars:[]
-         ~stream_bufs_in:
-           [ ("grayScaleImage", (gray_seg_addr, pixels)); ("otsuThreshold", (thresh_addr, 1)) ]
-         ~stream_bufs_out:[ ("segmentedGrayImage", (out_addr, pixels)) ])
-end
-
-let start_all exec (spec : Spec.t) =
-  List.iter (fun (n : Spec.node_spec) -> Exec.start_accel exec n.Spec.node_name) spec.nodes
-
-(* ------------------------------------------------------------------ *)
-(* Architecture-specific host programs                                 *)
-(* ------------------------------------------------------------------ *)
-
-(* Each host program split at its hardware phase, so the chaos harness can
-   wrap exactly the accelerated region in the fault-tolerant runtime.
-   [pre (); hw (); post ()] performs the very same driver-call sequence the
-   monolithic program did, so the timeline is unchanged. [sw_fallback]
-   redoes the work of [hw] on the GPP model (graceful degradation). *)
 type phases = {
-  task : string;  (** name of the hardware phase, for reports *)
-  hw_accels : string list;
+  task : string;
+  drains : (string * string) list;
   pre : unit -> unit;
   hw : unit -> unit;
   post : unit -> unit;
   sw_fallback : unit -> unit;
 }
 
-let arch_phases ~width ~height (live : Flow.live) (arch : Graphs.arch) : phases =
-  let pixels = width * height in
-  let exec = live.Flow.exec in
-  let spec = Graphs.arch_spec arch in
-  let kernels = Otsu.kernels ~width ~height in
-  match arch with
-  | Graphs.Arch1 ->
-    {
-      task = "computeHistogram";
-      hw_accels = [ "computeHistogram" ];
-      pre = (fun () -> Sw.gray_scale exec ~kernels ~pixels);
-      hw =
-        (fun () ->
-          Exec.start_accel exec "computeHistogram";
-          Exec.start_read_dma exec
-            ~channel:(Flow.channel live ~node:"computeHistogram" ~port:"histogram")
-            ~addr:hist_addr ~len:256;
-          Exec.start_write_dma exec
-            ~channel:(Flow.channel live ~node:"computeHistogram" ~port:"grayScaleImage")
-            ~addr:gray_ch_addr ~len:pixels;
-          Exec.run_phase exec ~accels:[ "computeHistogram" ]);
-      post =
-        (fun () ->
-          Sw.otsu_method exec ~kernels;
-          Sw.segment exec ~kernels ~pixels);
-      sw_fallback = (fun () -> Sw.histogram exec ~kernels ~pixels);
-    }
-  | Graphs.Arch2 ->
-    {
-      task = "halfProbability";
-      hw_accels = [ "halfProbability" ];
-      pre =
-        (fun () ->
-          Sw.gray_scale exec ~kernels ~pixels;
-          Sw.histogram exec ~kernels ~pixels);
-      hw =
-        (fun () ->
-          Exec.start_accel exec "halfProbability";
-          Exec.start_read_dma exec
-            ~channel:(Flow.channel live ~node:"halfProbability" ~port:"probability")
-            ~addr:thresh_addr ~len:1;
-          Exec.start_write_dma exec
-            ~channel:(Flow.channel live ~node:"halfProbability" ~port:"histogram")
-            ~addr:hist_addr ~len:256;
-          Exec.run_phase exec ~accels:[ "halfProbability" ]);
-      post = (fun () -> Sw.segment exec ~kernels ~pixels);
-      sw_fallback = (fun () -> Sw.otsu_method exec ~kernels);
-    }
-  | Graphs.Arch3 ->
-    {
-      task = "computeHistogram+halfProbability";
-      hw_accels = [ "computeHistogram"; "halfProbability" ];
-      pre = (fun () -> Sw.gray_scale exec ~kernels ~pixels);
-      hw =
-        (fun () ->
-          start_all exec spec;
-          Exec.start_read_dma exec
-            ~channel:(Flow.channel live ~node:"halfProbability" ~port:"probability")
-            ~addr:thresh_addr ~len:1;
-          Exec.start_write_dma exec
-            ~channel:(Flow.channel live ~node:"computeHistogram" ~port:"grayScaleImage")
-            ~addr:gray_ch_addr ~len:pixels;
-          Exec.run_phase exec ~accels:[ "computeHistogram"; "halfProbability" ]);
-      post = (fun () -> Sw.segment exec ~kernels ~pixels);
-      sw_fallback =
-        (fun () ->
-          Sw.histogram exec ~kernels ~pixels;
-          Sw.otsu_method exec ~kernels);
-    }
-  | Graphs.Arch4 ->
-    {
-      task = "full-pipeline";
-      hw_accels = [ "grayScale"; "computeHistogram"; "halfProbability"; "segment" ];
-      pre = (fun () -> ());
-      hw =
-        (fun () ->
-          start_all exec spec;
-          Exec.start_read_dma exec
-            ~channel:(Flow.channel live ~node:"segment" ~port:"segmentedGrayImage")
-            ~addr:out_addr ~len:pixels;
-          Exec.start_write_dma exec
-            ~channel:(Flow.channel live ~node:"grayScale" ~port:"imageIn")
-            ~addr:rgb_addr ~len:pixels;
-          Exec.run_phase exec
-            ~accels:[ "grayScale"; "computeHistogram"; "halfProbability"; "segment" ]);
-      post = (fun () -> ());
-      sw_fallback =
-        (fun () ->
-          Sw.gray_scale exec ~kernels ~pixels;
-          Sw.histogram exec ~kernels ~pixels;
-          Sw.otsu_method exec ~kernels;
-          Sw.segment exec ~kernels ~pixels);
-    }
+let phases (h : host) =
+  let kernels = Otsu.kernels ~width:h.width ~height:h.height in
+  let run = run_step h ~kernels in
+  let rec split pre = function
+    | Hw nodes :: post -> (List.rev pre, nodes, post)
+    | step :: rest -> split (step :: pre) rest
+    | [] -> (List.rev pre, [], [])
+  in
+  let pre, nodes, post = split [] (plan (spec_of h)) in
+  {
+    task =
+      (if List.length nodes = List.length stages then "full-pipeline"
+       else String.concat "+" nodes);
+    drains =
+      Option.fold ~none:[] (spec_of h) ~some:(fun spec ->
+          List.filter (fun (n, _) -> List.mem n nodes) (Spec.node_to_soc_links spec));
+    pre = (fun () -> List.iter run pre);
+    hw = (fun () -> if nodes <> [] then run (Hw nodes));
+    post = (fun () -> List.iter run post);
+    sw_fallback = (fun () -> List.iter (fun n -> run (Sw n)) nodes);
+  }
 
-let build_arch ?(hls_config = Soc_hls.Engine.default_config) ~width ~height arch =
-  let pixels = width * height in
-  let spec = Graphs.arch_spec arch in
-  let arch_kernels = Graphs.arch_kernels arch ~width ~height in
-  let fifo_depth = max 1024 (pixels + 16) in
-  let build = Flow.build ~hls_config ~fifo_depth spec ~kernels:arch_kernels in
-  let live = Flow.instantiate ~fifo_depth build in
-  (build, live)
+let read_output (h : host) =
+  let pixels = Soc_axi.Dram.read_block (Exec.dram h.exec) ~addr:out_addr ~len:(h.width * h.height) in
+  { Image.width = h.width; height = h.height; pixels }
 
-let run_arch ?(width = 64) ?(height = 64) ?(seed = 42)
-    ?(hls_config = Soc_hls.Engine.default_config) (arch : Graphs.arch) : result =
-  let pixels = width * height in
-  let rgb = Image.synthetic_rgb ~seed ~width ~height () in
-  let build, live = build_arch ~hls_config ~width ~height arch in
-  let exec = live.Flow.exec in
-  load_image exec rgb;
-  let t0 = Exec.elapsed_cycles exec in
-  let ph = arch_phases ~width ~height live arch in
+(* The threshold stays on an internal stream, never in DRAM, when
+   halfProbability -> segment is a hardware link. *)
+let read_threshold (h : host) =
+  let on_chip (spec : Spec.t) =
+    List.mem
+      (("halfProbability", "probability"), ("segment", "otsuThreshold"))
+      (Spec.internal_links spec)
+  in
+  if Option.fold ~none:false ~some:on_chip (spec_of h) then snd (Otsu.Golden.run h.rgb)
+  else Soc_axi.Dram.read (Exec.dram h.exec) thresh_addr
+
+let execute ?seed ~label ~width ~height live =
+  let h = boot ?seed ~width ~height live in
+  let t0 = Exec.elapsed_cycles h.exec in
+  let ph = phases h in
   ph.pre ();
   ph.hw ();
   ph.post ();
-  let cycles = Exec.elapsed_cycles exec - t0 in
+  {
+    label;
+    output = read_output h;
+    threshold = read_threshold h;
+    cycles = Exec.elapsed_cycles h.exec - t0;
+    microseconds = Exec.elapsed_us h.exec;
+    build = Option.map (fun (l : Flow.live) -> l.Flow.lbuild) live;
+  }
+
+let build_arch ?(hls_config = Soc_hls.Engine.default_config) ~width ~height arch =
+  let fifo_depth = max 1024 ((width * height) + 16) in
+  let build =
+    Flow.build ~hls_config ~fifo_depth (Graphs.arch_spec arch)
+      ~kernels:(Graphs.arch_kernels arch ~width ~height)
+  in
+  (build, Flow.instantiate ~fifo_depth build)
+
+let run_arch ?(width = 64) ?(height = 64) ?seed ?hls_config (arch : Graphs.arch) : result =
+  let _, live = build_arch ?hls_config ~width ~height arch in
+  let r = execute ?seed ~label:(Graphs.arch_name arch) ~width ~height (Some live) in
   (* Protocol checkers must stay silent. *)
   (match Soc_platform.System.protocol_violations live.Flow.system with
   | [] -> ()
@@ -208,48 +186,11 @@ let run_arch ?(width = 64) ?(height = 64) ?(seed = 42)
     failwith
       (String.concat "; "
          (List.map (Format.asprintf "%a" Soc_axi.Stream_rules.pp_violation) v)));
-  let threshold = Soc_axi.Dram.read (Exec.dram exec) thresh_addr in
-  let output = read_output exec ~width ~height in
-  (* Arch4 never lands the threshold in DRAM; recover it from the golden
-     histogram path for reporting only. *)
-  let threshold =
-    if arch = Graphs.Arch4 then
-      Otsu.Golden.otsu_threshold (Image.histogram (Otsu.Golden.gray_scale rgb)) ~total:pixels
-    else threshold
-  in
-  {
-    label = Graphs.arch_name arch;
-    output;
-    threshold;
-    cycles;
-    microseconds = Exec.elapsed_us exec;
-    build = Some build;
-  }
+  r
 
-(* All-software baseline: the four tasks run on the GPP model. *)
-let run_software_only ?(width = 64) ?(height = 64) ?(seed = 42) () : result =
-  let pixels = width * height in
-  let rgb = Image.synthetic_rgb ~seed ~width ~height () in
-  let kernels = Otsu.kernels ~width ~height in
-  let sys = Soc_platform.System.create () in
-  let exec = Exec.create sys in
-  load_image exec rgb;
-  let t0 = Exec.elapsed_cycles exec in
-  Sw.gray_scale exec ~kernels ~pixels;
-  Sw.histogram exec ~kernels ~pixels;
-  Sw.otsu_method exec ~kernels;
-  Sw.segment exec ~kernels ~pixels;
-  let cycles = Exec.elapsed_cycles exec - t0 in
-  {
-    label = "SW";
-    output = read_output exec ~width ~height;
-    threshold = Soc_axi.Dram.read (Exec.dram exec) thresh_addr;
-    cycles;
-    microseconds = Exec.elapsed_us exec;
-    build = None;
-  }
+let run_software_only ?(width = 64) ?(height = 64) ?seed () =
+  execute ?seed ~label:"SW" ~width ~height None
 
-(* The golden result every architecture must match. *)
+(* The golden result every design must match. *)
 let golden ?(width = 64) ?(height = 64) ?(seed = 42) () =
-  let rgb = Image.synthetic_rgb ~seed ~width ~height () in
-  Otsu.Golden.run rgb
+  Otsu.Golden.run (Image.synthetic_rgb ~seed ~width ~height ())

@@ -1,8 +1,10 @@
-(** Host programs for the four case-study architectures plus an
-    all-software baseline: the application binaries the paper's flow
+(** The Otsu host program: the application binary the paper's flow
     produces, executed on the simulated platform through the driver API.
-    Every variant computes the same segmented image (golden-checked in the
-    test suite). *)
+    One program serves every design: the stages a design's spec names run
+    in hardware, each maximal run as one concurrent streaming phase, and
+    every other stage runs on the GPP model. The four case-study
+    architectures, the all-software baseline and every DSE partition
+    compute the same segmented image (golden-checked in the test suite). *)
 
 type result = {
   label : string;
@@ -13,33 +15,55 @@ type result = {
   build : Soc_core.Flow.build option;  (** [None] for the SW baseline *)
 }
 
-(** {2 DRAM layout (word addresses)} *)
+val buffer : pixels:int -> string -> string -> int * int
+(** [buffer ~pixels node port]: the DRAM buffer (word address, length)
+    behind a pipeline stage's stream port. *)
 
-val rgb_addr : int
-val gray_ch_addr : int
-val gray_seg_addr : int
-val hist_addr : int
-val thresh_addr : int
-val out_addr : int
+type step = Sw of string | Hw of string list  (** node names, in pipeline order *)
 
-val load_image : Soc_platform.Executive.t -> Image.rgb_image -> unit
-val read_output : Soc_platform.Executive.t -> width:int -> height:int -> Image.t
+val plan : Soc_core.Spec.t option -> step list
+(** The pipeline stages in order; the stages the spec names are grouped
+    into maximal hardware runs. [None] (no fabric) runs every stage in
+    software. *)
+
+type host = {
+  exec : Soc_platform.Executive.t;
+  live : Soc_core.Flow.live option;
+  rgb : Image.rgb_image;
+  width : int;
+  height : int;
+}
+(** A design booted with the synthetic scene loaded into DRAM. *)
+
+val boot : ?seed:int -> width:int -> height:int -> Soc_core.Flow.live option -> host
+(** Load the scene into the instantiated design, or into a bare GPP
+    platform for [None]. *)
 
 type phases = {
-  task : string;  (** name of the hardware phase, for reports *)
-  hw_accels : string list;
+  task : string;  (** name of the first hardware run, for reports *)
+  drains : (string * string) list;
+      (** (node, port) of every buffer that run writes to DRAM *)
   pre : unit -> unit;
   hw : unit -> unit;
   post : unit -> unit;
   sw_fallback : unit -> unit;
 }
-(** A host program split at its hardware phase: [pre (); hw (); post ()]
-    is the very driver-call sequence [run_arch] performs, and
-    [sw_fallback] redoes the work of [hw] on the GPP model. The split lets
-    the chaos harness wrap exactly the accelerated region in the
-    fault-tolerant runtime. *)
+(** The plan split at its first hardware run: [pre (); hw (); post ()]
+    is the whole program, and [sw_fallback] redoes the work of [hw] on
+    the GPP model. The split lets the chaos harness wrap exactly the
+    accelerated region in the fault-tolerant runtime. *)
 
-val arch_phases : width:int -> height:int -> Soc_core.Flow.live -> Graphs.arch -> phases
+val phases : host -> phases
+
+val read_output : host -> Image.t
+
+val read_threshold : host -> int
+(** The threshold the program chose: read from DRAM, or the golden one
+    when it stays on-chip (halfProbability -> segment in hardware). *)
+
+val execute :
+  ?seed:int -> label:string -> width:int -> height:int -> Soc_core.Flow.live option -> result
+(** Boot, run the whole plan and read back image, threshold and time. *)
 
 val build_arch :
   ?hls_config:Soc_hls.Engine.config ->
@@ -47,8 +71,8 @@ val build_arch :
   height:int ->
   Graphs.arch ->
   Soc_core.Flow.build * Soc_core.Flow.live
-(** Build and instantiate one case-study architecture (FIFO depth sized as
-    [run_arch] does). *)
+(** Build and instantiate one case-study architecture (FIFO depth sized
+    to hold a whole image). *)
 
 val run_arch :
   ?width:int ->

@@ -253,31 +253,18 @@ let assemble (spec : Spec.t) ~dsl_source (impls : node_impl list) (integ : integ
 
 let build ?(hls_config = Soc_hls.Engine.default_config)
     ?(fifo_depth = Soc_platform.Config.zedboard.Soc_platform.Config.default_fifo_depth)
-    ?(hls = direct_hls) ?on_stage (spec : Spec.t)
-    ~(kernels : (string * Ast.kernel) list) : build =
-  let note s = match on_stage with Some f -> f s | None -> () in
+    ?(hls = direct_hls) (spec : Spec.t) ~(kernels : (string * Ast.kernel) list) : build =
   Spec.validate_exn spec;
-  note "preflight";
   check_pre_flight spec ~kernels;
-  let hls ~config kernel =
-    note ("hls:" ^ kernel.Ast.kname);
-    hls ~config kernel
-  in
   let pairs = pair_kernels spec ~kernels in
   let impls_o = synthesize_impls ~hls ~hls_config pairs in
   let impls = List.map fst impls_o in
-  note "lint";
   lint_impls impls;
-  note "integrate";
   let integ = integrate spec in
-  note "synth";
   let resources_by_core, resources = aggregate_resources spec ~fifo_depth impls in
-  note "swgen";
   let sw = generate_software spec integ in
   let dsl_source = Printer.to_source spec in
-  note "estimate";
   let tool_times = estimate_tools spec ~dsl_source impls_o integ ~resources in
-  note "finalize";
   assemble spec ~dsl_source impls integ ~resources ~resources_by_core ~sw ~tool_times
 
 (* ------------------------------------------------------------------ *)

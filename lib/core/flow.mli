@@ -41,6 +41,10 @@ val pre_flight :
     contains errors — a rate-inconsistent pipeline is rejected here
     instead of deadlocking at co-simulation. *)
 
+val check_pre_flight : Spec.t -> kernels:(string * Soc_kernel.Ast.kernel) list -> unit
+(** Raise [Build_error] listing the error-severity {!pre_flight} findings,
+    if any; a design without kernels is not checked. *)
+
 type build = {
   spec : Spec.t;
   dsl_source : string;  (** canonical DSL text (conciseness metric) *)
@@ -140,16 +144,11 @@ val build :
   ?hls_config:Soc_hls.Engine.config ->
   ?fifo_depth:int ->
   ?hls:hls_engine ->
-  ?on_stage:(string -> unit) ->
   Spec.t ->
   kernels:(string * Soc_kernel.Ast.kernel) list ->
   build
 (** [hls] supplies accelerators (default {!direct_hls}); pass
-    [Soc_farm.Cache.hls_engine] to share real HLS results across builds.
-    [on_stage] is called at the entry of each flow stage with a stable
-    name — ["preflight"], ["hls:<kernel>"] per node, ["integrate"],
-    ["synth"], ["swgen"], ["estimate"], ["finalize"] — so a caller can
-    journal progress or inject crash points without forking the flow. *)
+    [Soc_farm.Cache.hls_engine] to share real HLS results across builds. *)
 
 type live = {
   lbuild : build;

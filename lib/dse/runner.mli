@@ -1,7 +1,7 @@
-(** Generic host program for any partition: software stages on the GPP,
-    contiguous hardware stages as concurrent streaming phases. Subsumes the
-    hand-written host programs of the paper's four architectures, and
-    checks every run bit-exactly against the golden model. *)
+(** Design points of the DSE: a partition's build run through the Otsu
+    host program ({!Soc_apps.Otsu_runner}: software stages on the GPP,
+    contiguous hardware stages as concurrent streaming phases), checked
+    bit-exactly against the golden model. *)
 
 type point = {
   partition : Partition.t;
@@ -12,9 +12,6 @@ type point = {
   output : Soc_apps.Image.t;
   threshold : int;
 }
-
-val hw_runs : Partition.t -> Partition.stage list list
-(** Contiguous maximal runs of hardware stages, in pipeline order. *)
 
 exception Wrong_output of string
 (** A design point whose image differs from the golden model (a bug, not a
@@ -30,6 +27,6 @@ val measure :
   Partition.t ->
   point
 (** Instantiate an already finished build (e.g. from a
-    {!Soc_farm.Farm.build_batch}) and run the partition's execution plan;
+    {!Soc_farm.Farm.build_batch}) and run the host program on it;
     [None] runs the all-software partition. Raises {!Wrong_output} when
     the image differs from the golden model. *)

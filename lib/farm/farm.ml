@@ -114,21 +114,7 @@ let jobs_of_graph ?journal ?inj ~abort (g : Jobgraph.t) (cache : Cache.t) :
             Spec.validate_exn e.Jobgraph.spec;
             (* Same gate as Flow.build: refuse with diagnostics before any
                downstream job spends work on a design that cannot run. *)
-            (if e.Jobgraph.kernels <> [] then
-               let diags =
-                 Flow.pre_flight e.Jobgraph.spec ~kernels:e.Jobgraph.kernels
-               in
-               if Soc_util.Diag.has_errors diags then
-                 raise
-                   (Flow.Build_error
-                      ("static analysis rejected the design:\n"
-                      ^ String.concat "\n"
-                          (List.filter_map
-                             (fun (d : Soc_util.Diag.t) ->
-                               if d.Soc_util.Diag.severity = Soc_util.Diag.Error
-                               then Some (Soc_util.Diag.to_string d)
-                               else None)
-                             diags))));
+            Flow.check_pre_flight e.Jobgraph.spec ~kernels:e.Jobgraph.kernels;
             let pairs = Flow.pair_kernels e.Jobgraph.spec ~kernels:e.Jobgraph.kernels in
             V_integration (pairs, Flow.integrate e.Jobgraph.spec)
         | Jobgraph.Synthesis i ->

@@ -16,6 +16,8 @@ type task =
   | Software of int
   | Finalize of int
 
+let stages = [ "hls"; "integrate"; "synth"; "swgen"; "finalize" ]
+
 type node = { task : task; label : string; cat : string; deps : int list }
 
 type t = {

@@ -34,10 +34,15 @@ type task =
   | Software of int
   | Finalize of int
 
+val stages : string list
+(** The job categories ([node.cat]): ["hls"], ["integrate"], ["synth"],
+    ["swgen"], ["finalize"]. These are the stages a crash point
+    ({!Soc_fault.Fault.Kill_at}) can name. *)
+
 type node = {
   task : task;
   label : string;
-  cat : string;
+  cat : string;  (** one of {!stages} *)
   deps : int list;  (** indices of prerequisite nodes, all smaller *)
 }
 

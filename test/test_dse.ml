@@ -67,15 +67,21 @@ let test_direct_link_rule () =
   check Alcotest.int "gray+seg only: no internal links" 0 (List.length (internal gray_seg))
 
 let test_hw_runs_grouping () =
-  let runs p = List.map (List.map P.stage_name) (Soc_dse.Runner.hw_runs p) in
+  (* The host program's plan: maximal runs of the stages the partition's
+     spec names, each one hardware phase. *)
+  let runs p =
+    List.filter_map
+      (function Soc_apps.Otsu_runner.Hw run -> Some run | Soc_apps.Otsu_runner.Sw _ -> None)
+      (Soc_apps.Otsu_runner.plan (Some (P.spec_of p)))
+  in
   check
     (Alcotest.list (Alcotest.list Alcotest.string))
-    "HHSS" [ [ "grayScale"; "histogram" ] ]
+    "HHSS" [ [ "grayScale"; "computeHistogram" ] ]
     (runs (P.of_signature "HHSS"));
   check
     (Alcotest.list (Alcotest.list Alcotest.string))
     "HSSH"
-    [ [ "grayScale" ]; [ "binarization" ] ]
+    [ [ "grayScale" ]; [ "segment" ] ]
     (runs (P.of_signature "HSSH"));
   check
     (Alcotest.list (Alcotest.list Alcotest.string))
@@ -125,6 +131,15 @@ let test_behavioral_mode_bit_exact () =
       check Alcotest.bool (sig_ ^ " behavioral <= rtl cycles") true
         (beh.Soc_dse.Runner.cycles <= rtl.Soc_dse.Runner.cycles))
     [ "HHHH"; "SHHS" ]
+
+let test_arch_points_match_host_program () =
+  (* The paper's architectures as partitions: the same timeline the host
+     program pins for run_arch / run_software_only (16x16, seed 42). *)
+  List.iter
+    (fun (p, cycles) ->
+      check Alcotest.int (P.name p ^ " cycles") cycles
+        (evaluate ~width:16 ~height:16 p).Soc_dse.Runner.cycles)
+    [ (P.arch1, 16747); (P.arch2, 19709); (P.arch3, 18781); (P.arch4, 15158); (P.all_sw, 16371) ]
 
 let test_mixed_partition_threshold () =
   (* otsu in HW, seg in SW: the threshold must land in DRAM. *)
@@ -239,6 +254,7 @@ let suite =
     ("all-software point", `Quick, test_all_sw_point);
     ("every partition bit-exact", `Slow, test_every_partition_is_bit_exact);
     ("behavioral DSE mode", `Quick, test_behavioral_mode_bit_exact);
+    ("arch points match host program", `Quick, test_arch_points_match_host_program);
     ("mixed partition threshold", `Quick, test_mixed_partition_threshold);
     ("exhaustive evaluation count", `Quick, test_exhaustive_counts);
     ("pareto front properties", `Quick, test_pareto_properties);

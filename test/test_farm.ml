@@ -169,7 +169,12 @@ let test_plan_dedups_kernels () =
   Array.iteri
     (fun i (n : Jobgraph.node) ->
       List.iter (fun d -> check Alcotest.bool "dep < job" true (d < i)) n.Jobgraph.deps)
-    g.Jobgraph.nodes
+    g.Jobgraph.nodes;
+  (* The job categories are exactly the stages a kill point can name. *)
+  check (Alcotest.list Alcotest.string) "categories = kill stages"
+    (List.sort compare Jobgraph.stages)
+    (List.sort_uniq compare
+       (Array.to_list (Array.map (fun (n : Jobgraph.node) -> n.Jobgraph.cat) g.Jobgraph.nodes)))
 
 let test_plan_ownership_by_batch_order () =
   let g = Jobgraph.plan (entries ()) in

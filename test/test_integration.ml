@@ -28,6 +28,40 @@ let test_sw_baseline_matches () =
   check Alcotest.bool "software baseline matches" true
     (Image.equal r.Otsu_runner.output g)
 
+(* The host program's timeline, pinned: 16x16, seed 42. *)
+let pinned_cycles =
+  [ ("Arch1", 16747); ("Arch2", 19709); ("Arch3", 18781); ("Arch4", 15158); ("SW", 16371) ]
+
+let test_timeline_pinned () =
+  let runs =
+    List.map (fun arch -> Otsu_runner.run_arch ~width ~height arch) Graphs.all_archs
+    @ [ Otsu_runner.run_software_only ~width ~height () ]
+  in
+  List.iter
+    (fun (r : Otsu_runner.result) ->
+      check Alcotest.int (r.Otsu_runner.label ^ " cycles")
+        (List.assoc r.Otsu_runner.label pinned_cycles)
+        r.Otsu_runner.cycles)
+    runs
+
+let test_phases_from_plan () =
+  (* The chaos harness's split of each architecture: the first hardware
+     run, labelled as in chaos reports, and the DRAM buffers it drains. *)
+  List.iter
+    (fun (arch, task, drains) ->
+      let _, live = Otsu_runner.build_arch ~width ~height arch in
+      let ph = Otsu_runner.phases (Otsu_runner.boot ~width ~height (Some live)) in
+      check Alcotest.string (Graphs.arch_name arch ^ " task") task ph.Otsu_runner.task;
+      check
+        (Alcotest.list (Alcotest.pair Alcotest.string Alcotest.string))
+        (Graphs.arch_name arch ^ " drains") drains ph.Otsu_runner.drains)
+    [
+      (Graphs.Arch1, "computeHistogram", [ ("computeHistogram", "histogram") ]);
+      (Graphs.Arch2, "halfProbability", [ ("halfProbability", "probability") ]);
+      (Graphs.Arch3, "computeHistogram+halfProbability", [ ("halfProbability", "probability") ]);
+      (Graphs.Arch4, "full-pipeline", [ ("segment", "segmentedGrayImage") ]);
+    ]
+
 let test_archs_have_expected_core_counts () =
   List.iter
     (fun (arch, n) ->
@@ -151,6 +185,8 @@ let suite =
     ("arch2 end-to-end", `Quick, arch_test Graphs.Arch2);
     ("arch3 end-to-end", `Quick, arch_test Graphs.Arch3);
     ("arch4 end-to-end", `Quick, arch_test Graphs.Arch4);
+    ("host program timeline pinned", `Quick, test_timeline_pinned);
+    ("chaos phases from the plan", `Quick, test_phases_from_plan);
     ("arch core counts", `Quick, test_archs_have_expected_core_counts);
     ("table2 resource shape", `Quick, test_resource_shape_table2);
     ("fig4 system end-to-end", `Quick, test_fig4_system_runs);

@@ -383,8 +383,6 @@ let run ?(config = Config.zedboard) ?(kernels = []) ?htg ?(regions = [])
   in
   Diag.sort (graph @ krn @ deep @ overlap_diags map @ race)
 
-let pre_flight ?config ~kernels spec = run ?config ~kernels spec
-
 (* ------------------------------------------------------------------ *)
 
 let code_table =

@@ -37,15 +37,6 @@ val run :
     [config] supplies the FIFO depth and device assumed by the deadlock
     and budget checks (default: zedboard). *)
 
-val pre_flight :
-  ?config:Soc_platform.Config.t ->
-  kernels:(string * Soc_kernel.Ast.kernel) list ->
-  Spec.t ->
-  Diag.t list
-(** The build-gating subset: graph + kernel + rate + budget checks, as
-    [run] with kernels and no HTG. The flow refuses to build when this
-    contains errors. *)
-
 val races :
   htg:Soc_htg.Htg.t -> regions:(string * (int * int)) list -> Diag.t list
 (** [SOC040]: pairs of top-level HTG nodes with no precedence path either

@@ -101,20 +101,21 @@ let integration_resources = Soc_analysis.Layout.integration_resources
    spent — with diagnostics, not exceptions from deep in the flow. *)
 let pre_flight ?config (spec : Spec.t) ~(kernels : (string * Ast.kernel) list) :
     Soc_util.Diag.t list =
-  Soc_analysis.Analyze.pre_flight ?config ~kernels spec
+  Soc_analysis.Analyze.run ?config ~kernels spec
+
+let reject_pre_flight diags =
+  if Soc_util.Diag.has_errors diags then
+    fail "static analysis rejected the design:\n%s"
+      (String.concat "\n"
+         (List.filter_map
+            (fun (d : Soc_util.Diag.t) ->
+              if d.Soc_util.Diag.severity = Soc_util.Diag.Error then
+                Some (Soc_util.Diag.to_string d)
+              else None)
+            diags))
 
 let check_pre_flight spec ~kernels =
-  if kernels <> [] then
-    let diags = pre_flight spec ~kernels in
-    if Soc_util.Diag.has_errors diags then
-      fail "static analysis rejected the design:\n%s"
-        (String.concat "\n"
-           (List.filter_map
-              (fun (d : Soc_util.Diag.t) ->
-                if d.Soc_util.Diag.severity = Soc_util.Diag.Error then
-                  Some (Soc_util.Diag.to_string d)
-                else None)
-              diags))
+  if kernels <> [] then reject_pre_flight (pre_flight spec ~kernels)
 
 (* ------------------------------------------------------------------ *)
 (* Staged flow                                                         *)

@@ -37,13 +37,18 @@ val pre_flight :
   kernels:(string * Soc_kernel.Ast.kernel) list ->
   Soc_util.Diag.t list
 (** The {!Soc_analysis.Analyze} checks the flow runs before spending any
-    HLS work. [build] (and the farm) refuse designs whose pre-flight
-    contains errors — a rate-inconsistent pipeline is rejected here
-    instead of deadlocking at co-simulation. *)
+    HLS work ([Analyze.run] with kernels and no HTG: graph, kernel, rate
+    and budget checks). [build] (and the farm) refuse designs whose
+    pre-flight contains errors — a rate-inconsistent pipeline is rejected
+    here instead of deadlocking at co-simulation. *)
+
+val reject_pre_flight : Soc_util.Diag.t list -> unit
+(** Raise [Build_error] listing the error-severity findings of a
+    {!pre_flight} result, if any. *)
 
 val check_pre_flight : Spec.t -> kernels:(string * Soc_kernel.Ast.kernel) list -> unit
-(** Raise [Build_error] listing the error-severity {!pre_flight} findings,
-    if any; a design without kernels is not checked. *)
+(** [reject_pre_flight] of the design's {!pre_flight}; a design without
+    kernels is not checked. *)
 
 type build = {
   spec : Spec.t;

@@ -11,7 +11,14 @@ type t = string
 let to_hex t = t
 let of_hex s = s
 
-let format_version = "soc-farm-chash-v1"
+(* Bump on any change to the canonical serialization below AND on any
+   layout change to a record marshalled into a cache entry
+   ([Soc_hls.Engine.accel] and everything it contains). [.accel] payloads
+   are [Marshal] bytes: loading one written with another layout as the
+   current type is undefined behaviour (a crash, or a wrong accelerator
+   that verifies as "ok"). The version is part of every key and of every
+   entry header, so old entries become misses and read as IO402 stale. *)
+let format_version = "soc-farm-chash-v2"
 
 (* ------------------------------------------------------------------ *)
 (* Canonical serialization                                             *)

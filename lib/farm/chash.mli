@@ -18,7 +18,9 @@ val of_hex : string -> t
     cache file names). Performs no validation — callers own the trust. *)
 
 val format_version : string
-(** Bumped whenever the canonical serialization changes; on-disk cache
+(** Bumped whenever the canonical serialization changes, and whenever the
+    layout of a record marshalled into a cache entry
+    ({!Soc_hls.Engine.accel} and what it contains) changes; on-disk cache
     entries carry it so stale layouts read as misses, never as garbage. *)
 
 val digest : string -> t

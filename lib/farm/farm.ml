@@ -114,7 +114,7 @@ let jobs_of_graph ?journal ?inj ~abort (g : Jobgraph.t) (cache : Cache.t) :
             Spec.validate_exn e.Jobgraph.spec;
             (* Same gate as Flow.build: refuse with diagnostics before any
                downstream job spends work on a design that cannot run. *)
-            Flow.check_pre_flight e.Jobgraph.spec ~kernels:e.Jobgraph.kernels;
+            Flow.reject_pre_flight g.Jobgraph.pre_flight.(i);
             let pairs = Flow.pair_kernels e.Jobgraph.spec ~kernels:e.Jobgraph.kernels in
             V_integration (pairs, Flow.integrate e.Jobgraph.spec)
         | Jobgraph.Synthesis i ->

@@ -24,6 +24,7 @@ type t = {
   entries : entry array;
   nodes : node array;
   kernel_jobs : (string * int) list array;
+  pre_flight : Soc_util.Diag.t list array;
   integrate_ids : int array;
   synthesis_ids : int array;
   software_ids : int array;
@@ -46,6 +47,14 @@ let plan ?(hls_config = Soc_hls.Engine.default_config)
   in
   let by_key : (string, int) Hashtbl.t = Hashtbl.create 32 in
   let kernel_jobs = Array.make n [] in
+  (* The analyzer runs once per entry, here: the integrate job reports
+     these findings rather than analyzing the same spec again. *)
+  let pre_flight =
+    Array.map
+      (fun (e : entry) ->
+        if e.kernels = [] then [] else Soc_core.Flow.pre_flight e.spec ~kernels:e.kernels)
+      entries
+  in
   let integrate_ids = Array.make n (-1) in
   let synthesis_ids = Array.make n (-1) in
   let software_ids = Array.make n (-1) in
@@ -56,11 +65,7 @@ let plan ?(hls_config = Soc_hls.Engine.default_config)
       (* Entries the pre-flight analyzer already rejects get no HLS jobs:
          their integrate job reports the diagnostics, and the farm never
          spends synthesis work on a design that cannot run. *)
-      let rejected =
-        e.kernels <> []
-        && Soc_util.Diag.has_errors
-             (Soc_core.Flow.pre_flight e.spec ~kernels:e.kernels)
-      in
+      let rejected = Soc_util.Diag.has_errors pre_flight.(i) in
       (* Per-kernel HLS jobs, deduplicated across the whole batch by
          content hash; first-needing arch owns (pays for) the job. *)
       let jobs =
@@ -128,6 +133,7 @@ let plan ?(hls_config = Soc_hls.Engine.default_config)
     entries;
     nodes = Array.of_list (List.rev !nodes);
     kernel_jobs;
+    pre_flight;
     integrate_ids;
     synthesis_ids;
     software_ids;

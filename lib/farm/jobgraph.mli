@@ -51,6 +51,10 @@ type t = {
   nodes : node array;
   kernel_jobs : (string * int) list array;
       (** per entry: node name -> id of its HLS job *)
+  pre_flight : Soc_util.Diag.t list array;
+      (** per entry: the {!Soc_core.Flow.pre_flight} findings, computed once
+          at plan time ([] for an entry without kernels). An entry with
+          errors gets no HLS jobs; its integrate job refuses from these. *)
   integrate_ids : int array;
   synthesis_ids : int array;
   software_ids : int array;

@@ -1,7 +1,8 @@
 (** Entry point of the HLS substrate: the role Vivado HLS plays in the
     paper's flow. [synthesize] takes a kernel (the "synthesizable C") and
-    produces the accelerator: RTL netlist, Verilog text, interface
-    directives and a resource report. *)
+    produces the accelerator: RTL netlist, resource report and static
+    performance estimates. The Verilog text and the directives file are
+    renderings computed on demand, never part of the result. *)
 
 type config = {
   strategy : Schedule.strategy;
@@ -14,12 +15,9 @@ let default_config =
     optimize = true }
 
 type accel = {
-  config : config;
   fsmd : Fsmd.t;
   report : Report.accel_report;
   perf : Perf.report;
-  verilog : string;
-  directives : string;
 }
 
 (* The "directives file" mirrors what the paper's tool writes for Vivado
@@ -75,6 +73,4 @@ let synthesize ?(config = default_config) (k : Soc_kernel.Ast.kernel) : accel =
       static_block_latency = Schedule.static_block_latencies sched;
     }
   in
-  { config; fsmd; report; perf = Perf.analyze sched;
-    verilog = Soc_rtl.Verilog.emit fsmd.netlist;
-    directives = directives_of_kernel k }
+  { fsmd; report; perf = Perf.analyze sched }

@@ -1,6 +1,8 @@
 (** Entry point of the HLS substrate — the role Vivado HLS plays in the
-    paper's flow: kernel in, accelerator out (RTL netlist, Verilog text,
-    interface directives, resource report). *)
+    paper's flow: kernel in, accelerator out (RTL netlist, resource report,
+    static performance estimates). Renderings of the result — Verilog text
+    ({!Soc_rtl.Verilog.emit}) and the interface directives
+    ({!directives_of_kernel}) — are pure functions, computed on demand. *)
 
 type config = {
   strategy : Schedule.strategy;
@@ -12,13 +14,13 @@ val default_config : config
 (** List scheduling, the default resource budget, optimizer on. *)
 
 type accel = {
-  config : config;
   fsmd : Fsmd.t;
   report : Report.accel_report;
   perf : Perf.report;  (** static performance estimates *)
-  verilog : string;
-  directives : string;
 }
+(** Marshalled into the farm's [.accel] cache entries: any change to this
+    record's layout (or to a record it contains) must bump
+    [Soc_farm.Chash.format_version]. *)
 
 val directives_of_kernel : Soc_kernel.Ast.kernel -> string
 (** The Vivado-HLS-style INTERFACE pragma file for a kernel's ports. *)

@@ -24,9 +24,7 @@ type stream_in_sigs = { in_tdata : N.signal; in_tvalid : N.signal; in_tready : N
 type stream_out_sigs = { out_tdata : N.signal; out_tvalid : N.signal; out_tready : N.signal }
 
 type t = {
-  kernel : Ast.kernel;
   netlist : N.t;
-  schedule : Schedule.t;
   ap_start : N.signal;
   ap_done : N.signal;
   ap_idle : N.signal;
@@ -34,7 +32,6 @@ type t = {
   scalar_out : (string * N.signal) list;
   stream_in : (string * stream_in_sigs) list;
   stream_out : (string * stream_out_sigs) list;
-  state_signal : N.signal;
   total_states : int;
 }
 
@@ -469,9 +466,7 @@ let generate (sched : Schedule.t) : t =
   in
 
   {
-    kernel = k;
     netlist = net;
-    schedule = sched;
     ap_start;
     ap_done;
     ap_idle;
@@ -479,6 +474,5 @@ let generate (sched : Schedule.t) : t =
     scalar_out;
     stream_in;
     stream_out;
-    state_signal = state_sig;
     total_states;
   }

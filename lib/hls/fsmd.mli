@@ -21,9 +21,7 @@ type stream_out_sigs = {
 }
 
 type t = {
-  kernel : Soc_kernel.Ast.kernel;
-  netlist : Soc_rtl.Netlist.t;
-  schedule : Schedule.t;
+  netlist : Soc_rtl.Netlist.t;  (** module name = the kernel's name *)
   ap_start : Soc_rtl.Netlist.signal;
   ap_done : Soc_rtl.Netlist.signal;  (** high for exactly one cycle *)
   ap_idle : Soc_rtl.Netlist.signal;
@@ -31,11 +29,7 @@ type t = {
   scalar_out : (string * Soc_rtl.Netlist.signal) list;
   stream_in : (string * stream_in_sigs) list;
   stream_out : (string * stream_out_sigs) list;
-  state_signal : Soc_rtl.Netlist.signal;
   total_states : int;
 }
-
-val idle_state : int
-val done_state : int
 
 val generate : Schedule.t -> t

@@ -71,7 +71,8 @@ let run ?(max_cycles = 5_000_000) ?(scalars = []) ?(streams = []) (accel : Fsmd.
     Sim.tick sim;
     incr cycles
   done;
-  if not !done_seen then raise (Timeout (accel.kernel.kname ^ ": accelerator did not finish"));
+  if not !done_seen then
+    raise (Timeout (accel.netlist.Soc_rtl.Netlist.mod_name ^ ": accelerator did not finish"));
   let out_scalars =
     List.map (fun (pname, signal) -> (pname, Sim.value sim signal)) accel.scalar_out
   in

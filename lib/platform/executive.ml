@@ -157,7 +157,6 @@ let set_fault_plan t plan =
   t.plan_base <- t.timeline.total
 
 let clear_fault_plan t = t.plan <- None
-let fault_plan t = t.plan
 
 let inventory ?dram_range t =
   {
@@ -304,36 +303,12 @@ let wait_accel_irq t name =
   advance_gpp t (Config.gpp_to_pl_cycles (config t) irq_service_gpp_cycles);
   ignore (bus_read t (regfile_base t name + Soc_axi.Lite.status_offset))
 
-(* Bounded wait: like [wait_accel_irq] but gives up after [timeout] fabric
-   cycles instead of running into the deadlock detector. *)
-let wait_accel_timeout t name ~timeout =
-  let inst = System.accel t.sys name in
-  let deadline = t.timeline.total + timeout in
-  let rec loop () =
-    if Accel_inst.is_done inst then begin
-      ignore (bus_read t (regfile_base t name + Soc_axi.Lite.status_offset));
-      Ok ()
-    end
-    else if t.timeline.total >= deadline then Error `Timeout
-    else begin
-      ignore (step_fabric t);
-      loop ()
-    end
-  in
-  loop ()
-
 (* Blocking writeDMA: stream [len] words from DRAM address [addr] into the
    channel and wait for completion. *)
 let write_dma t ~channel ~addr ~len =
   let dma = List.assoc channel t.sys.System.mm2s in
   Soc_axi.Dma.start_mm2s dma ~addr ~len;
   run_until t (fun () -> Soc_axi.Dma.mm2s_idle dma)
-
-(* Blocking readDMA: drain [len] words from the channel into DRAM. *)
-let read_dma t ~channel ~addr ~len =
-  let dma = List.assoc channel t.sys.System.s2mm in
-  Soc_axi.Dma.start_s2mm dma ~addr ~len;
-  run_until t (fun () -> Soc_axi.Dma.s2mm_idle dma)
 
 (* Non-blocking variants used to run a whole dataflow phase concurrently. *)
 let start_write_dma t ~channel ~addr ~len =
@@ -374,13 +349,6 @@ let dma_faults t =
   @ List.filter_map
       (fun (n, d) -> if Soc_axi.Dma.s2mm_ok d then None else Some n)
       t.sys.System.s2mm
-
-(* Driver-level reset of one accelerator plus the FIFOs bound to it. *)
-let soft_reset t name =
-  let inst = System.accel t.sys name in
-  Accel_inst.soft_reset inst;
-  List.iter Soc_axi.Fifo.flush (Accel_inst.bound_fifos inst);
-  t.last_transfer_cycle <- t.timeline.total
 
 (* Full fabric reset: every accelerator back to its post-bitstream state,
    every DMA channel and FIFO cleared. Permanent injected faults model
@@ -518,10 +486,6 @@ let run_task_resilient ?max_attempts ?backoff ?timeout ?verify ?fallback t ~task
       end
   in
   attempt 1
-
-let pp_timeline fmt (tl : timeline) =
-  Format.fprintf fmt "total=%d cycles (gpp=%d, bus=%d, hw=%d)" tl.total tl.gpp_compute tl.bus
-    (max 0 tl.hw)
 
 (* Uncaught platform exceptions should explain themselves. *)
 let () =

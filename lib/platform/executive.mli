@@ -4,8 +4,8 @@
     work advances the clock in bulk via the GPP cost model (while the
     fabric keeps ticking), hardware work advances cycle by cycle. The host
     API mirrors the generated driver interface: AXI-Lite register access,
-    accelerator start / polled wait / interrupt wait, and blocking
-    [writeDMA]/[readDMA].
+    accelerator start / polled wait / interrupt wait, blocking [writeDMA]
+    and non-blocking DMA starts run as one phase.
 
     A {!Soc_fault.Fault.plan} can be armed on the executive; it is
     consulted once per fabric cycle and due faults are injected into the
@@ -70,19 +70,12 @@ val step_fabric : t -> bool
 (** One PL cycle of every accelerator, DMA and FIFO; true iff a beat
     moved. Applies due plan faults first and checks the watchdog. *)
 
-val run_until : t -> (unit -> bool) -> unit
-(** Step until the predicate holds; raises [Deadlock] when stuck. *)
-
-val advance_gpp : t -> int -> unit
-(** Charge GPP time; the fabric keeps running concurrently. *)
-
 (** {2 Fault plan} *)
 
 val set_fault_plan : t -> Soc_fault.Fault.plan -> unit
 (** Arm a plan; its injection cycles are relative to the current cycle. *)
 
 val clear_fault_plan : t -> unit
-val fault_plan : t -> Soc_fault.Fault.plan option
 
 val inventory : ?dram_range:int * int -> t -> Soc_fault.Fault.inventory
 (** The injectable units of this system, for seeded campaigns. *)
@@ -91,7 +84,6 @@ val inventory : ?dram_range:int * int -> t -> Soc_fault.Fault.inventory
 
 val bus_write : t -> int -> int -> unit
 val bus_read : t -> int -> int
-val regfile_base : t -> string -> int
 
 val set_arg : t -> accel:string -> port:string -> int -> unit
 val get_arg : t -> accel:string -> port:string -> int
@@ -106,21 +98,13 @@ val wait_accel_irq : t -> string -> unit
 (** Interrupt-driven wait: block until done, pay one ISR overhead plus a
     single acknowledging status read. *)
 
-val wait_accel_timeout : t -> string -> timeout:int -> (unit, [ `Timeout ]) result
-(** Bounded wait: give up after [timeout] fabric cycles. *)
-
 val write_dma : t -> channel:string -> addr:int -> len:int -> unit
 (** Blocking writeDMA (MM2S): stream a DRAM buffer into the channel. *)
-
-val read_dma : t -> channel:string -> addr:int -> len:int -> unit
-(** Blocking readDMA (S2MM). *)
 
 val start_write_dma : t -> channel:string -> addr:int -> len:int -> unit
 (** Non-blocking variants, for running a whole dataflow phase. *)
 
 val start_read_dma : t -> channel:string -> addr:int -> len:int -> unit
-
-val dma_all_idle : t -> bool
 
 val run_phase : t -> accels:string list -> unit
 (** Until all DMA descriptors retired and the named accelerators done. *)
@@ -135,16 +119,6 @@ val run_software :
 (** Execute a software task on the GPP model; advances the clock. *)
 
 (** {2 Fault-tolerant driver layer} *)
-
-val dma_faults : t -> string list
-(** Channels whose current/last descriptor aborted with a transfer error. *)
-
-val soft_reset : t -> string -> unit
-(** Driver-level reset of one accelerator plus the FIFOs bound to it. *)
-
-val soft_reset_all : t -> unit
-(** Reset every accelerator, DMA channel and FIFO. Permanent injected
-    faults model broken silicon and survive the reset. *)
 
 type outcome = Hardware | Fallback
 
@@ -175,5 +149,3 @@ val run_task_resilient :
     up to [max_attempts] hardware attempts. When all fail, [fallback] is
     invoked (graceful degradation to the GPP) if given, otherwise
     {!Unrecoverable} is raised with the attempt history. *)
-
-val pp_timeline : Format.formatter -> timeline -> unit

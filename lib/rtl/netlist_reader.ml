@@ -21,11 +21,12 @@
     eq ne lt le gt ge ult ule ugt uge]) or [(OP A)] for unary ones
     ([neg bnot lnot]).
 
-    Signals are declared up front (two-pass), so expressions may
-    reference signals declared later in the file; memory read-data
-    signals exist from the [mem] statement's position onward. Errors
-    raise {!Parse_error} with a line number — the CLI maps them to the
-    analyzer's [SOC000] like any other unreadable source. *)
+    Widths (of signals, memories and constants) are 1..32 and memory
+    sizes at least 1. Signals are declared up front (two-pass), so
+    expressions may reference signals declared later in the file; memory
+    read-data signals exist from the [mem] statement's position onward.
+    Errors raise {!Parse_error} with a line number — the CLI maps them to
+    the analyzer's [SOC000] like any other unreadable source. *)
 
 exception Parse_error of string
 
@@ -106,6 +107,13 @@ let parse src =
   let int_of ln s =
     match int_of_string_opt s with Some n -> n | None -> fail ln "expected integer, got %S" s
   in
+  (* The reader checks what Netlist's constructors would otherwise reject
+     with Invalid_argument (or, for memory sizes, not at all). *)
+  let width_of ln s =
+    let w = int_of ln s in
+    if w < 1 || w > 32 then fail ln "width %d outside 1..32" w;
+    w
+  in
   let atom = function A (a, ln) -> (a, ln) | L (_, ln) -> fail ln "expected a name" in
   (* Pass 1: split the stream into statements and declare every signal. *)
   let rec stmts acc = function
@@ -163,16 +171,16 @@ let parse src =
     (fun (kw, ln, args) ->
       match (kw, args) with
       | "input", [ n; w ] ->
-        let name, _ = atom n and width = int_of ln (fst (atom w)) in
+        let name, _ = atom n and width = width_of ln (fst (atom w)) in
         declare ln name (Netlist.input net ~name ~width)
       | "output", [ n; w ] ->
-        let name, _ = atom n and width = int_of ln (fst (atom w)) in
+        let name, _ = atom n and width = width_of ln (fst (atom w)) in
         declare ln name (Netlist.output net ~name ~width)
       | "wire", [ n; w ] ->
-        let name, _ = atom n and width = int_of ln (fst (atom w)) in
+        let name, _ = atom n and width = width_of ln (fst (atom w)) in
         declare ln name (Netlist.fresh net ~name ~width)
       | "reg", n :: w :: A ("reset", _) :: rv :: _ ->
-        let name, _ = atom n and width = int_of ln (fst (atom w)) in
+        let name, _ = atom n and width = width_of ln (fst (atom w)) in
         let reset_value = int_of ln (fst (atom rv)) in
         let q, set = Netlist.register_forward net ~reset_value ~name ~width () in
         declare ln name q;
@@ -187,7 +195,7 @@ let parse src =
       | None -> fail ln "unknown signal %S" name)
     | L (A ("const", _) :: args, ln) -> (
       match args with
-      | [ v; w ] -> Netlist.Const (int_of ln (fst (atom v)), int_of ln (fst (atom w)))
+      | [ v; w ] -> Netlist.Const (int_of ln (fst (atom v)), width_of ln (fst (atom w)))
       | _ -> fail ln "const takes a value and a width")
     | L (A ("ref", _) :: args, ln) -> (
       match args with
@@ -224,7 +232,8 @@ let parse src =
           [ n; sz; w; A ("rdata", _); rd; A ("raddr", _); ra; A ("wen", _); we;
             A ("waddr", _); wa; A ("wdata", _); wd ] ) ->
         let name, _ = atom n in
-        let size = int_of ln (fst (atom sz)) and width = int_of ln (fst (atom w)) in
+        let size = int_of ln (fst (atom sz)) and width = width_of ln (fst (atom w)) in
+        if size < 1 then fail ln "memory size %d below 1" size;
         let rdata =
           Netlist.add_mem net ~name ~size ~width ~raddr:(expr ra) ~wen:(expr we)
             ~waddr:(expr wa) ~wdata:(expr wd) ()

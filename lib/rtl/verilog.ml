@@ -1,8 +1,9 @@
 (** Verilog-2001 emission of a {!Netlist} module.
 
     The emitted text is the artifact a real flow would hand to logic
-    synthesis; we use it for inspection, artifact size metrics and golden
-    tests. Signed operators are emitted with $signed casts. *)
+    synthesis; here it is rendered on demand (it is not part of a
+    synthesized accelerator) for inspection and golden tests. Signed
+    operators are emitted with $signed casts. *)
 
 let sanitize name =
   String.map

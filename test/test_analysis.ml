@@ -505,7 +505,21 @@ let test_preflight_refuses_deadlock_design () =
     check Alcotest.bool "names the code" true
       (Tstr.contains msg "SOC031");
     check Alcotest.bool "names the link" true
-      (Tstr.contains msg "computeHistogram.histogram->segment.grayScaleImage")
+      (Tstr.contains msg "computeHistogram.histogram->segment.grayScaleImage");
+    (* A farm batch analyzes the entry once, at plan time: the plan keeps
+       the verdict (no HLS jobs), and the integrate job refuses with the
+       same text as the single-design flow. *)
+    let entry = { Soc_farm.Jobgraph.spec; kernels } in
+    let g = Soc_farm.Jobgraph.plan [ entry ] in
+    check Alcotest.bool "plan keeps the verdict" true
+      (Diag.has_errors g.Soc_farm.Jobgraph.pre_flight.(0));
+    check Alcotest.int "no HLS jobs planned" 0 (Soc_farm.Jobgraph.distinct_kernels g);
+    let r = Soc_farm.Farm.build_batch [ entry ] in
+    (match r.Soc_farm.Farm.failures with
+    | [ { Soc_farm.Pool.reason = Soc_farm.Pool.Exception text; _ } ] ->
+      check Alcotest.string "farm refusal text" (Printexc.to_string (Flow.Build_error msg))
+        text
+    | _ -> Alcotest.fail "expected one integrate failure")
   | _ -> Alcotest.fail "expected the build to be refused"
 
 (* ------------------------------------------------------------------ *)

@@ -507,16 +507,17 @@ let test_fu_sharing_bounds_dsps () =
     (accel.Soc_hls.Engine.report.Soc_hls.Report.resources.Soc_hls.Report.dsp <= 2)
 
 let test_directives_generated () =
-  let accel = Soc_hls.Engine.synthesize (Soc_apps.Otsu.segment_kernel ~pixels:16) in
-  check Alcotest.bool "axis directive" true
-    (Tstr.contains accel.Soc_hls.Engine.directives "-mode axis");
-  check Alcotest.bool "axilite return" true
-    (Tstr.contains accel.Soc_hls.Engine.directives "-mode s_axilite")
+  let directives =
+    Soc_hls.Engine.directives_of_kernel (Soc_apps.Otsu.segment_kernel ~pixels:16)
+  in
+  check Alcotest.bool "axis directive" true (Tstr.contains directives "-mode axis");
+  check Alcotest.bool "axilite return" true (Tstr.contains directives "-mode s_axilite")
 
 let test_verilog_artifact () =
-  let accel = Soc_hls.Engine.synthesize (Soc_apps.Filters.add_kernel) in
+  let accel = Soc_hls.Engine.synthesize Soc_apps.Filters.add_kernel in
   check Alcotest.bool "verilog has module ADD" true
-    (Tstr.contains accel.Soc_hls.Engine.verilog "module ADD")
+    (Tstr.contains (Soc_rtl.Verilog.emit accel.Soc_hls.Engine.fsmd.Soc_hls.Fsmd.netlist)
+       "module ADD")
 
 let test_illegal_schedule_detected () =
   (* verify must flag a corrupted schedule. *)

@@ -308,8 +308,9 @@ let test_lru_cap_spares_protected () =
     let f = Filename.concat dir (List.hd (artifact_files dir)) in
     (Unix.stat f).Unix.st_size
   in
-  (* Enough entries to overflow the 1 MB cap twice over. *)
-  let n = min 400 (2 * 1024 * 1024 / entry_bytes + 2) in
+  (* Enough entries to overflow the 1 MB cap twice over; the bound only
+     guards against a degenerate entry size (an entry is ~2 kB). *)
+  let n = min 4000 (2 * 1024 * 1024 / entry_bytes + 2) in
   let keys = List.init n (fun i -> Chash.digest (Printf.sprintf "lru-filler-%d" i)) in
   let protected_key = List.hd keys in
   Cache.protect cache protected_key;

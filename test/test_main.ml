@@ -28,5 +28,6 @@ let () =
       ("serve", Test_serve.suite);
       ("remote", Test_remote.suite);
       ("verify", Test_verify.suite);
+      ("fuzz", Test_fuzz.suite);
       ("tune", Test_tune.suite);
     ]

@@ -93,7 +93,31 @@ let test_reader_rejects_garbage () =
   reject "module m\nwire x\n" (* truncated statement *);
   reject "module m\nwire x 8\nassign x (add x\n";
   reject "module m\nwire x 8\nassign x (mumble x x)\n";
-  reject "module m\nwire x 8\nwire x 8\n"
+  reject "module m\nwire x 8\nwire x 8\n";
+  (* Values Netlist's constructors would refuse with Invalid_argument, or
+     (memory sizes) accept silently, are source errors with a line. *)
+  let reject_at line s =
+    match Reader.parse s with
+    | exception Reader.Parse_error msg ->
+      check Alcotest.bool (Printf.sprintf "line %d in %S" line msg) true
+        (String.starts_with ~prefix:(Printf.sprintf "line %d: " line) msg)
+    | _ -> Alcotest.failf "expected Parse_error on %S" s
+  in
+  reject_at 2 "module m\ninput a 88\noutput y 8\nassign y (add a a)\n";
+  reject_at 2 "module m\ninput a 0\n";
+  reject_at 2 "module m\nwire w -1\n";
+  reject_at 2 "module m\nreg r 33 reset 0 enable (const 1 1) next r\n";
+  reject_at 4 "module m\ninput a 8\noutput y 8\nassign y (add a (const 5 0))\n";
+  reject_at 3 "module m\noutput y 8\nassign y (const 5 40)\n";
+  let mem size width =
+    Printf.sprintf
+      "module m\ninput a 8\nmem q %s %s rdata r raddr a wen (const 0 1) waddr a wdata a\n"
+      size width
+  in
+  reject_at 3 (mem "0" "8");
+  reject_at 3 (mem "-4" "8");
+  reject_at 3 (mem "4" "0");
+  ignore (Reader.parse (mem "1" "32"))
 
 (* The flow refuses to integrate a netlist the lint rejects. *)
 let test_flow_lint_gate () =

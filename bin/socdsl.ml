@@ -460,15 +460,15 @@ let build_cmd =
     let cache = Soc_farm.Cache.create ?disk_dir:cache_dir ?max_mb () in
     let journal = open_journal ~resume cache_dir in
     report_replay journal;
-    (* A design static analysis rejects is refused with its diagnostics,
-       as plain text, before the batch. *)
-    (try Soc_core.Flow.check_pre_flight spec ~kernels:entry.Soc_farm.Jobgraph.kernels
-     with Soc_core.Flow.Build_error msg ->
-       prerr_endline ("socdsl: " ^ msg);
-       exit 1);
     match Soc_farm.Farm.build_batch ~jobs:1 ~cache ?journal ?kill [ entry ] with
     | exception Soc_fault.Fault.Killed (s, k) -> die_killed s k
-    | { Soc_farm.Farm.builds = []; failures; _ } ->
+    | { Soc_farm.Farm.builds = []; failures; pre_flight; _ } ->
+      (* A design static analysis rejects is refused with the plan's
+         diagnostics as plain text, not as a failed integrate job. *)
+      (try Soc_core.Flow.reject_pre_flight pre_flight.(0)
+       with Soc_core.Flow.Build_error msg ->
+         prerr_endline ("socdsl: " ^ msg);
+         exit 1);
       List.iter
         (fun f -> Format.eprintf "socdsl: FAILED %a@." Soc_farm.Pool.pp_failure f)
         failures;
@@ -520,7 +520,7 @@ let build_cmd =
 (* ---------------- farm ---------------- *)
 
 let farm_cmd =
-  let run files jobs cache_dir max_mb resume kill manifest trace_out retries timeout seed sim =
+  let run files jobs cache_dir max_mb resume kill manifest trace_out seed sim =
     require_cache_dir ~resume cache_dir;
     Soc_rtl_compile.Engine.set_default_backend sim;
     Printf.printf "effective seed: %d\n" seed;
@@ -534,7 +534,7 @@ let farm_cmd =
     Soc_farm.Cache.enable_tape_cache cache;
     let journal = open_journal ~resume cache_dir in
     report_replay journal;
-    match Soc_farm.Farm.build_batch ?jobs ~cache ?retries ?timeout ?journal ?kill entries with
+    match Soc_farm.Farm.build_batch ?jobs ~cache ?journal ?kill entries with
     | exception Soc_fault.Fault.Killed (s, k) -> die_killed s k
     | report ->
       print_string (Soc_farm.Farm.render_report report);
@@ -570,14 +570,6 @@ let farm_cmd =
     Arg.(value & opt (some string) None & info [ "trace" ] ~docv:"FILE"
          ~doc:"Write a Chrome trace_event JSON timeline of the batch to $(docv).")
   in
-  let retries_arg =
-    Arg.(value & opt (some int) None & info [ "retries" ] ~docv:"N"
-         ~doc:"Retry budget per job for transient failures (default 2).")
-  in
-  let timeout_arg =
-    Arg.(value & opt (some float) None & info [ "timeout" ] ~docv:"SECONDS"
-         ~doc:"Per-job deadline; a job past it is cancelled and reported.")
-  in
   let manifest_arg =
     Arg.(value & opt (some string) None & info [ "manifest" ] ~docv:"FILE"
          ~doc:"Write a JSON manifest of per-design build digests to $(docv) \
@@ -592,8 +584,7 @@ let farm_cmd =
           batch. With --cache-dir the batch is crash-safe: journaled progress, \
           atomic checksummed artifacts, --resume after any interruption.")
     Term.(const run $ files_arg $ jobs_arg $ cache_dir_arg $ cache_max_mb_arg
-          $ resume_arg $ kill_arg $ manifest_arg $ trace_arg $ retries_arg
-          $ timeout_arg $ seed_arg $ sim_arg)
+          $ resume_arg $ kill_arg $ manifest_arg $ trace_arg $ seed_arg $ sim_arg)
 
 (* ---------------- explore ---------------- *)
 

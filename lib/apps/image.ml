@@ -111,13 +111,6 @@ let write_pgm_file path img =
   output_string oc (to_pgm img);
   close_out oc
 
-let read_pgm_file path =
-  let ic = open_in path in
-  let n = in_channel_length ic in
-  let content = really_input_string ic n in
-  close_in ic;
-  of_pgm content
-
 (* Histogram of a grayscale image: the golden model for the
    computeHistogram kernel. *)
 let histogram img =

@@ -34,7 +34,6 @@ exception Bad_pgm of string
 
 val of_pgm : string -> t
 val write_pgm_file : string -> t -> unit
-val read_pgm_file : string -> t
 
 val histogram : t -> int array
 (** 256 bins; the golden model for the computeHistogram kernel. *)

@@ -194,12 +194,3 @@ let kernels ~width ~height =
     ("halfProbability", otsu_method_kernel ~pixels);
     ("segment", segment_kernel ~pixels);
   ]
-
-(* Table I name mapping: application function -> Listing 4 kernel. *)
-let function_to_kernel =
-  [
-    ("grayScale", "grayScale");
-    ("histogram", "computeHistogram");
-    ("otsuMethod", "halfProbability");
-    ("binarization", "segment");
-  ]

@@ -26,6 +26,3 @@ val segment_kernel : pixels:int -> Soc_kernel.Ast.kernel
 val kernels : width:int -> height:int -> (string * Soc_kernel.Ast.kernel) list
 (** The four kernels keyed by their Listing 4 node names; raises
     [Invalid_argument] beyond 256x256 (32-bit score math). *)
-
-val function_to_kernel : (string * string) list
-(** Table I application-function name -> Listing 4 kernel name. *)

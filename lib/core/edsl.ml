@@ -155,14 +155,3 @@ let design_with_trace ?(validate = true) name body =
         captured := trace t)
   in
   (spec, !captured)
-
-let pp_trace_step fmt = function
-  | Created_project n -> Format.fprintf fmt "create Vivado project for %S" n
-  | Created_node n -> Format.fprintf fmt "create Vivado HLS project for node %S" n
-  | Added_interface (_, p, k) ->
-    Format.fprintf fmt "add %a interface %S (directives file updated)" Spec.pp_port_kind k p
-  | Synthesized_node n -> Format.fprintf fmt "run HLS synthesis for node %S" n
-  | Connected_lite n -> Format.fprintf fmt "connect %S AXI-Lite interface to system bus" n
-  | Created_link (a, b) ->
-    Format.fprintf fmt "tcl: connect stream %a -> %a" Spec.pp_endpoint a Spec.pp_endpoint b
-  | Executed_integration -> Format.fprintf fmt "execute Vivado tcl up to bitstream generation"

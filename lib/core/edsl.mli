@@ -61,5 +61,3 @@ val design : ?validate:bool -> string -> (t -> unit) -> Spec.t
 val trace : t -> trace_step list
 
 val design_with_trace : ?validate:bool -> string -> (t -> unit) -> Spec.t * trace_step list
-
-val pp_trace_step : Format.formatter -> trace_step -> unit

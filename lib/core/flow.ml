@@ -114,9 +114,6 @@ let reject_pre_flight diags =
               else None)
             diags))
 
-let check_pre_flight spec ~kernels =
-  if kernels <> [] then reject_pre_flight (pre_flight spec ~kernels)
-
 (* ------------------------------------------------------------------ *)
 (* Staged flow                                                         *)
 (*                                                                     *)
@@ -256,7 +253,7 @@ let build ?(hls_config = Soc_hls.Engine.default_config)
     ?(fifo_depth = Soc_platform.Config.zedboard.Soc_platform.Config.default_fifo_depth)
     ?(hls = direct_hls) (spec : Spec.t) ~(kernels : (string * Ast.kernel) list) : build =
   Spec.validate_exn spec;
-  check_pre_flight spec ~kernels;
+  if kernels <> [] then reject_pre_flight (pre_flight spec ~kernels);
   let pairs = pair_kernels spec ~kernels in
   let impls_o = synthesize_impls ~hls ~hls_config pairs in
   let impls = List.map fst impls_o in

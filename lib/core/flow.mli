@@ -46,10 +46,6 @@ val reject_pre_flight : Soc_util.Diag.t list -> unit
 (** Raise [Build_error] listing the error-severity findings of a
     {!pre_flight} result, if any. *)
 
-val check_pre_flight : Spec.t -> kernels:(string * Soc_kernel.Ast.kernel) list -> unit
-(** [reject_pre_flight] of the design's {!pre_flight}; a design without
-    kernels is not checked. *)
-
 type build = {
   spec : Spec.t;
   dsl_source : string;  (** canonical DSL text (conciseness metric) *)

@@ -22,11 +22,6 @@ type error =
   | Sw_phase_with_hw_actors of string
   | No_hardware_nodes
 
-let pp_error fmt = function
-  | Sw_phase_with_hw_actors p ->
-    Format.fprintf fmt "phase %S is mapped to software but would contribute accelerators" p
-  | No_hardware_nodes -> Format.fprintf fmt "the HTG maps every node to software"
-
 let to_spec ?(lite_ports = default_lite_ports) ?(validate = true) (g : H.t) : Spec.t =
   let nodes = ref [] and edges = ref [] in
   let add_node n = nodes := n :: !nodes in

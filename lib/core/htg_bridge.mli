@@ -13,8 +13,6 @@ type error =
   | Sw_phase_with_hw_actors of string
   | No_hardware_nodes
 
-val pp_error : Format.formatter -> error -> unit
-
 val to_spec :
   ?lite_ports:(string -> string list) -> ?validate:bool -> Soc_htg.Htg.t -> Spec.t
 

@@ -12,12 +12,6 @@ type stage = Gray | Hist | OtsuM | Seg
 
 let all_stages = [ Gray; Hist; OtsuM; Seg ]
 
-let stage_name = function
-  | Gray -> "grayScale"
-  | Hist -> "histogram"
-  | OtsuM -> "otsuMethod"
-  | Seg -> "binarization"
-
 let node_name = function
   | Gray -> "grayScale"
   | Hist -> "computeHistogram"

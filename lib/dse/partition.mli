@@ -8,9 +8,6 @@ type stage = Gray | Hist | OtsuM | Seg
 
 val all_stages : stage list
 
-val stage_name : stage -> string
-(** Application-function name (Table I column). *)
-
 val node_name : stage -> string
 (** Listing 4 kernel/node name. *)
 

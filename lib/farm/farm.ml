@@ -17,6 +17,7 @@ type stats = {
 type report = {
   builds : (int * Flow.build) list;
   failures : Pool.failure list;
+  pre_flight : Soc_util.Diag.t list array;
   stats : stats;
   trace : Trace.t;
 }
@@ -59,7 +60,7 @@ let impls_of (g : Jobgraph.t) i (pairs : (Spec.node_spec * Ast.kernel) list)
    it does, the journal is sealed (a dead process writes nothing) and the
    pool's abort switch stops all further dispatch. *)
 let journaled ?journal ?inj ~abort (node : Jobgraph.node) key_hex work =
- fun tok get ->
+ fun get ->
   let jappend e = match journal with Some j -> Journal.append j e | None -> () in
   jappend (Journal.Start { stage = node.Jobgraph.cat; label = node.Jobgraph.label; key = key_hex });
   (match inj with
@@ -70,7 +71,7 @@ let journaled ?journal ?inj ~abort (node : Jobgraph.node) key_hex work =
       Atomic.set abort true;
       raise e)
   | None -> ());
-  match work tok get with
+  match work get with
   | v ->
     jappend (Journal.Done { stage = node.Jobgraph.cat; label = node.Jobgraph.label; key = key_hex });
     v
@@ -93,7 +94,7 @@ let jobs_of_graph ?journal ?inj ~abort (g : Jobgraph.t) (cache : Cache.t) :
       let work =
         match node.Jobgraph.task with
         | Jobgraph.Hls { kernel; key; _ } ->
-          fun (_ : Pool.token) (_ : int -> value) ->
+          fun _ ->
             (* Content-addressed: a warm cache (memory or disk) skips the
                real engine run entirely. *)
             (match Cache.find cache key with
@@ -109,7 +110,7 @@ let jobs_of_graph ?journal ?inj ~abort (g : Jobgraph.t) (cache : Cache.t) :
                 a.Soc_hls.Engine.fsmd.netlist;
               V_accel a)
         | Jobgraph.Integrate i ->
-          fun _ _ ->
+          fun _ ->
             let e = g.Jobgraph.entries.(i) in
             Spec.validate_exn e.Jobgraph.spec;
             (* Same gate as Flow.build: refuse with diagnostics before any
@@ -118,7 +119,7 @@ let jobs_of_graph ?journal ?inj ~abort (g : Jobgraph.t) (cache : Cache.t) :
             let pairs = Flow.pair_kernels e.Jobgraph.spec ~kernels:e.Jobgraph.kernels in
             V_integration (pairs, Flow.integrate e.Jobgraph.spec)
         | Jobgraph.Synthesis i ->
-          fun _ get ->
+          fun get ->
             let e = g.Jobgraph.entries.(i) in
             let spec = e.Jobgraph.spec in
             let pairs, integ = the_integration (get g.Jobgraph.integrate_ids.(i)) in
@@ -133,12 +134,12 @@ let jobs_of_graph ?journal ?inj ~abort (g : Jobgraph.t) (cache : Cache.t) :
             in
             V_synth (by_core, total, tool_times)
         | Jobgraph.Software i ->
-          fun _ get ->
+          fun get ->
             let e = g.Jobgraph.entries.(i) in
             let _, integ = the_integration (get g.Jobgraph.integrate_ids.(i)) in
             V_sw (Flow.generate_software e.Jobgraph.spec integ)
         | Jobgraph.Finalize i ->
-          fun _ get ->
+          fun get ->
             let e = g.Jobgraph.entries.(i) in
             let spec = e.Jobgraph.spec in
             let pairs, integ = the_integration (get g.Jobgraph.integrate_ids.(i)) in
@@ -159,8 +160,8 @@ let batch_key (g : Jobgraph.t) =
        (Array.to_list
           (Array.map (fun (n : Jobgraph.node) -> Chash.digest n.Jobgraph.label) g.Jobgraph.nodes)))
 
-let build_batch ?jobs ?hls_config ?fifo_depth ?cache ?retries ?backoff ?timeout ?fault
-    ?trace ?journal ?kill (entries : Jobgraph.entry list) : report =
+let build_batch ?jobs ?hls_config ?fifo_depth ?cache ?trace ?journal ?kill
+    (entries : Jobgraph.entry list) : report =
   let cache = match cache with Some c -> c | None -> Cache.create () in
   let trace = match trace with Some t -> t | None -> Trace.create () in
   (* Service-fault injection point: models a planner/batch crash that a
@@ -203,8 +204,7 @@ let build_batch ?jobs ?hls_config ?fifo_depth ?cache ?retries ?backoff ?timeout 
   let engine0 = Soc_hls.Engine.invocation_count () in
   let t0 = Unix.gettimeofday () in
   let outcomes =
-    Pool.run ?jobs ?retries ?backoff ?timeout ?fault ~abort ~trace
-      (jobs_of_graph ?journal ?inj ~abort graph cache)
+    Pool.run ?jobs ~abort ~trace (jobs_of_graph ?journal ?inj ~abort graph cache)
   in
   let wall_seconds = Unix.gettimeofday () -. t0 in
   (* A fired crash point means this process is "dead": re-raise instead of
@@ -268,7 +268,7 @@ let build_batch ?jobs ?hls_config ?fifo_depth ?cache ?retries ?backoff ?timeout 
   | Some j ->
     Journal.append j (Journal.Batch_done { ok = stats.succeeded; failed = stats.failed })
   | None -> ());
-  { builds = List.rev !builds; failures; stats; trace }
+  { builds = List.rev !builds; failures; pre_flight = graph.Jobgraph.pre_flight; stats; trace }
 
 (* Content digest of a whole build record (specs, Tcl, address maps,
    accelerators down to the netlists, software artifacts, tool times).
@@ -288,27 +288,6 @@ let manifest_json (r : report) =
       r.builds
   in
   "[\n" ^ String.concat ",\n" entries ^ "\n]\n"
-
-(* ------------------------------------------------------------------ *)
-(* Deterministic fault injection                                       *)
-(* ------------------------------------------------------------------ *)
-
-(* FNV-1a over the label so the decision depends only on (seed, label,
-   attempt) — never on scheduling order or worker identity. *)
-let label_hash label attempt =
-  let h = ref 0xcbf29ce484222325L in
-  let mix c = h := Int64.mul (Int64.logxor !h (Int64.of_int c)) 0x100000001b3L in
-  String.iter (fun c -> mix (Char.code c)) label;
-  mix (0x100 + attempt);
-  Int64.to_int (Int64.logand !h 0x3FFFFFFFFFFFFFFFL)
-
-let random_faults ~seed ~rate ?(max_attempt = 3) () ~label ~attempt =
-  if attempt >= max_attempt then None
-  else
-    let rng = Soc_util.Rng.create (seed lxor label_hash label attempt) in
-    if Soc_util.Rng.float rng < rate then
-      Some (Pool.Transient (Printf.sprintf "injected fault (seed %d, attempt %d)" seed attempt))
-    else None
 
 (* ------------------------------------------------------------------ *)
 (* Rendering                                                           *)

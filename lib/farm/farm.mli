@@ -4,14 +4,12 @@
     [build_batch] plans the batch with {!Jobgraph.plan}, runs it on a
     {!Pool} of worker domains sharing a content-addressed {!Cache}, and
     returns every architecture's {!Soc_core.Flow.build} plus structured
-    failure reports — a failing or hung job never aborts the batch.
+    failure reports — a failing job never aborts the batch.
 
     Determinism guarantees (tested):
     - results are bit-identical for any [jobs] count;
     - a warm cache yields bit-identical build records to a cold one
-      (reuse is attributed by batch position, not cache state);
-    - injected transient faults that are retried to success leave no trace
-      in the artifacts. *)
+      (reuse is attributed by batch position, not cache state). *)
 
 type stats = {
   total_jobs : int;
@@ -29,6 +27,10 @@ type report = {
       (** successful architectures, (batch index, build), ascending *)
   failures : Pool.failure list;
       (** primary failures in job order (dependency skips excluded) *)
+  pre_flight : Soc_util.Diag.t list array;
+      (** per batch entry: the plan's static-analysis findings
+          ({!Jobgraph.t.pre_flight}); an entry with errors among them is
+          refused by its integrate job *)
   stats : stats;
   trace : Trace.t;
 }
@@ -38,18 +40,13 @@ val build_batch :
   ?hls_config:Soc_hls.Engine.config ->
   ?fifo_depth:int ->
   ?cache:Cache.t ->
-  ?retries:int ->
-  ?backoff:float ->
-  ?timeout:float ->
-  ?fault:(label:string -> attempt:int -> Pool.fault option) ->
   ?trace:Trace.t ->
   ?journal:Journal.t ->
   ?kill:Soc_fault.Fault.crash_point ->
   Jobgraph.entry list ->
   report
 (** Defaults: [jobs] = {!Domain.recommended_domain_count}, a fresh
-    in-memory [cache], [retries] = 2, [backoff] = 0, no [timeout], no
-    [fault] injection. Pass the same [cache] across batches (or one with a
+    in-memory [cache]. Pass the same [cache] across batches (or one with a
     [disk_dir]) to share real HLS work.
 
     [journal] makes the batch crash-safe: every job is journaled
@@ -64,15 +61,6 @@ val build_batch :
     journaled in-flight, executes nothing further (the pool aborts), and
     writes nothing more to the journal — a faithful process death for the
     recovery campaign. *)
-
-val random_faults :
-  seed:int -> rate:float -> ?max_attempt:int -> unit ->
-  label:string -> attempt:int -> Pool.fault option
-(** Deterministic transient-fault injector for robustness testing: fires
-    with probability [rate] per (label, attempt), derived from [seed] via
-    {!Soc_util.Rng} — independent of scheduling order. Never fires once
-    [attempt >= max_attempt] (default 3), so [retries >= max_attempt]
-    guarantees convergence. *)
 
 val build_digest : Soc_core.Flow.build -> string
 (** Stable hex fingerprint of a finished build record (canonical

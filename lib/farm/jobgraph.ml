@@ -146,12 +146,3 @@ let distinct_kernels t =
   Array.fold_left
     (fun acc node -> match node.task with Hls _ -> acc + 1 | _ -> acc)
     0 t.nodes
-
-let pp_dag fmt t =
-  Array.iteri
-    (fun i node ->
-      Format.fprintf fmt "#%d %-40s [%s]%s@." i node.label node.cat
-        (match node.deps with
-        | [] -> ""
-        | deps -> " <- " ^ String.concat "," (List.map string_of_int deps)))
-    t.nodes

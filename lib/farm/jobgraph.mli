@@ -69,6 +69,3 @@ val plan :
 
 val distinct_kernels : t -> int
 (** Number of HLS jobs (= distinct content hashes in the batch). *)
-
-val pp_dag : Format.formatter -> t -> unit
-(** Human-readable listing of the DAG, one node per line. *)

@@ -17,16 +17,6 @@ type event =
   | Failed of { stage : string; label : string; reason : string }
   | Batch_done of { ok : int; failed : int }
 
-let pp_event fmt = function
-  | Batch_start { key; jobs } -> Format.fprintf fmt "batch-start %s (%d jobs)" key jobs
-  | Start { stage; label; key } ->
-    Format.fprintf fmt "start [%s] %s%s" stage label (if key = "" then "" else " " ^ key)
-  | Done { stage; label; key } ->
-    Format.fprintf fmt "done [%s] %s%s" stage label (if key = "" then "" else " " ^ key)
-  | Failed { stage; label; reason } ->
-    Format.fprintf fmt "failed [%s] %s: %s" stage label reason
-  | Batch_done { ok; failed } -> Format.fprintf fmt "batch-done (%d ok, %d failed)" ok failed
-
 let default_name = "journal.wal"
 
 (* ------------------------------------------------------------------ *)

@@ -26,8 +26,6 @@ type event =
   | Failed of { stage : string; label : string; reason : string }
   | Batch_done of { ok : int; failed : int }
 
-val pp_event : Format.formatter -> event -> unit
-
 type t
 
 val default_name : string

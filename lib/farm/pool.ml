@@ -1,31 +1,13 @@
-type fault = Transient of string | Hang
+type reason = Exception of string | Dependency of int | Aborted
 
-type token = { flag : bool Atomic.t }
-
-let cancelled tok = Atomic.get tok.flag
-
-exception Cancelled
-
-let check tok = if cancelled tok then raise Cancelled
-
-(* An injected hang: burn scheduler slots exactly like a wedged external
-   tool would, but observe the cancellation token so the deadline monitor
-   can reclaim the worker. *)
-let hang_until_cancelled tok =
-  while not (cancelled tok) do
-    Domain.cpu_relax ()
-  done;
-  raise Cancelled
-
-type reason = Timed_out of float | Exception of string | Dependency of int | Aborted
-
-type failure = { index : int; label : string; attempts : int; reason : reason }
+type failure = { index : int; label : string; reason : reason }
 
 let pp_failure fmt f =
-  Format.fprintf fmt "job %d (%s) failed after %d attempt%s: %s" f.index f.label f.attempts
-    (if f.attempts = 1 then "" else "s")
+  (* A raising job ran once; a skipped or aborted one never ran. *)
+  let attempts = match f.reason with Exception _ -> 1 | Dependency _ | Aborted -> 0 in
+  Format.fprintf fmt "job %d (%s) failed after %d attempt%s: %s" f.index f.label attempts
+    (if attempts = 1 then "" else "s")
     (match f.reason with
-    | Timed_out s -> Printf.sprintf "exceeded %.3fs deadline" s
     | Exception msg -> msg
     | Dependency d -> Printf.sprintf "dependency %d failed" d
     | Aborted -> "aborted before dispatch (run killed)")
@@ -36,10 +18,8 @@ type 'a job = {
   label : string;
   cat : string;
   deps : int list;
-  work : token -> (int -> 'a) -> 'a;
+  work : (int -> 'a) -> 'a;
 }
-
-exception Injected_transient of string
 
 type 'a state = {
   jobs : 'a job array;
@@ -49,7 +29,6 @@ type 'a state = {
   dependents : int list array;
   mutable ready : int list;  (* ascending ids *)
   mutable completed : int;
-  mutable running : (int * float * token) list;  (* id, start, token *)
   lock : Mutex.t;
   work_available : Condition.t;
 }
@@ -58,8 +37,8 @@ let insert_sorted x l =
   let rec go = function [] -> [ x ] | y :: tl -> if x < y then x :: y :: tl else y :: go tl in
   go l
 
-let run ?jobs:(nworkers = Domain.recommended_domain_count ()) ?(retries = 2) ?(backoff = 0.0)
-    ?timeout ?fault ?abort ?trace (jobs : 'a job array) : 'a outcome array =
+let run ?jobs:(nworkers = Domain.recommended_domain_count ()) ?abort ?trace
+    (jobs : 'a job array) : 'a outcome array =
   let n = Array.length jobs in
   Array.iteri
     (fun i j ->
@@ -78,7 +57,6 @@ let run ?jobs:(nworkers = Domain.recommended_domain_count ()) ?(retries = 2) ?(b
       dependents = Array.make n [];
       ready = [];
       completed = 0;
-      running = [];
       lock = Mutex.create ();
       work_available = Condition.create ();
     }
@@ -98,7 +76,6 @@ let run ?jobs:(nworkers = Domain.recommended_domain_count ()) ?(retries = 2) ?(b
   let rec finish i outcome =
     st.results.(i) <- Some outcome;
     st.completed <- st.completed + 1;
-    st.running <- List.filter (fun (id, _, _) -> id <> i) st.running;
     (match outcome with
     | Failed _ ->
       List.iter
@@ -111,9 +88,7 @@ let run ?jobs:(nworkers = Domain.recommended_domain_count ()) ?(retries = 2) ?(b
         if st.remaining.(d) = 0 then
           match st.failed_dep.(d) with
           | Some dep ->
-            finish d
-              (Failed
-                 { index = d; label = st.jobs.(d).label; attempts = 0; reason = Dependency dep })
+            finish d (Failed { index = d; label = st.jobs.(d).label; reason = Dependency dep })
           | None ->
             st.ready <- insert_sorted d st.ready;
             gauge_depth ())
@@ -128,55 +103,23 @@ let run ?jobs:(nworkers = Domain.recommended_domain_count ()) ?(retries = 2) ?(b
     | Some (Done v) -> v
     | _ -> invalid_arg "Pool: dependency result requested before completion"
   in
-  let record_span label cat worker t0 attempt outcome =
-    match trace with
-    | None -> ()
+  (* Run job [i] without the lock; an exception becomes its failure. *)
+  let execute worker i =
+    let j = st.jobs.(i) in
+    let t0 = match trace with Some t -> Trace.now t | None -> 0.0 in
+    let outcome, verdict =
+      match j.work get with
+      | v -> (Done v, "ok")
+      | exception e ->
+        (Failed { index = i; label = j.label; reason = Exception (Printexc.to_string e) }, "error")
+    in
+    (match trace with
     | Some t ->
       Trace.add_span t
-        { Trace.name = label; cat; worker; t_start = t0; t_end = Trace.now t; attempt; outcome }
-  in
-  let tnow () = match trace with Some t -> Trace.now t | None -> Unix.gettimeofday () in
-  (* One attempt cycle for job [i], run without the lock. *)
-  let execute worker i tok =
-    let j = st.jobs.(i) in
-    let rec attempt k =
-      let t0 = tnow () in
-      let res =
-        try
-          (match fault with
-          | Some f -> (
-            match f ~label:j.label ~attempt:k with
-            | Some (Transient msg) -> raise (Injected_transient msg)
-            | Some Hang -> hang_until_cancelled tok
-            | None -> ())
-          | None -> ());
-          Ok (j.work tok get)
-        with e -> Error e
-      in
-      match res with
-      | Ok v ->
-        record_span j.label j.cat worker t0 k "ok";
-        Done v
-      | Error (Injected_transient msg) when k < retries ->
-        record_span j.label j.cat worker t0 k "transient";
-        (match trace with Some t -> Trace.incr t "retries" | None -> ());
-        if backoff > 0.0 then Unix.sleepf (backoff *. (2.0 ** float_of_int k));
-        attempt (k + 1)
-      | Error (Injected_transient msg) ->
-        record_span j.label j.cat worker t0 k "transient";
-        Failed
-          { index = i; label = j.label; attempts = k + 1;
-            reason = Exception ("transient fault (retries exhausted): " ^ msg) }
-      | Error Cancelled ->
-        record_span j.label j.cat worker t0 k "timeout";
-        Failed
-          { index = i; label = j.label; attempts = k + 1;
-            reason = Timed_out (Option.value ~default:0.0 timeout) }
-      | Error e ->
-        record_span j.label j.cat worker t0 k "error";
-        Failed { index = i; label = j.label; attempts = k + 1; reason = Exception (Printexc.to_string e) }
-    in
-    attempt 0
+        { Trace.name = j.label; cat = j.cat; worker; t_start = t0; t_end = Trace.now t;
+          outcome = verdict }
+    | None -> ());
+    outcome
   in
   let worker_loop worker =
     Mutex.lock st.lock;
@@ -194,15 +137,12 @@ let run ?jobs:(nworkers = Domain.recommended_domain_count ()) ?(retries = 2) ?(b
           (* The abort switch models process death for crash testing: a
              job not yet dispatched when the run dies must never execute. *)
           if (match abort with Some a -> Atomic.get a | None -> false) then begin
-            finish i
-              (Failed { index = i; label = st.jobs.(i).label; attempts = 0; reason = Aborted });
+            finish i (Failed { index = i; label = st.jobs.(i).label; reason = Aborted });
             loop ()
           end
           else begin
-            let tok = { flag = Atomic.make false } in
-            st.running <- (i, tnow (), tok) :: st.running;
             Mutex.unlock st.lock;
-            let outcome = execute worker i tok in
+            let outcome = execute worker i in
             Mutex.lock st.lock;
             finish i outcome;
             loop ()
@@ -212,23 +152,5 @@ let run ?jobs:(nworkers = Domain.recommended_domain_count ()) ?(retries = 2) ?(b
   in
   let nworkers = max 1 (min nworkers (max 1 n)) in
   let domains = List.init nworkers (fun w -> Domain.spawn (fun () -> worker_loop (w + 1))) in
-  (* Deadline monitor: poll running jobs and cancel those past the
-     per-job timeout. Cooperative — the job observes its token. *)
-  (match timeout with
-  | None -> ()
-  | Some limit ->
-    let rec monitor () =
-      Mutex.lock st.lock;
-      let done_ = st.completed >= n in
-      let now = tnow () in
-      List.iter
-        (fun (_, t0, tok) -> if now -. t0 > limit then Atomic.set tok.flag true)
-        st.running;
-      Mutex.unlock st.lock;
-      if not done_ then (
-        Unix.sleepf 0.001;
-        monitor ())
-    in
-    monitor ());
   List.iter Domain.join domains;
   Array.map (function Some o -> o | None -> assert false) st.results

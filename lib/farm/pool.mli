@@ -6,36 +6,19 @@
     bit-identical regardless of the worker count or interleaving — only
     wall-clock changes.
 
-    Robustness: an injectable fault hook simulates transient tool failures
-    (retried with bounded exponential backoff) and hangs (cancelled
-    cooperatively on deadline). A failed job never raises out of {!run};
-    it and its transitive dependents surface as structured {!outcome}s. *)
-
-type fault =
-  | Transient of string  (** fail this attempt; retryable *)
-  | Hang  (** spin until the deadline monitor cancels the job *)
-
-type token
-(** Cooperative cancellation token handed to running jobs. *)
-
-val cancelled : token -> bool
-
-exception Cancelled
-(** Raised by {!check} / {!hang_until_cancelled}; long-running job code may
-    raise it after observing {!cancelled}. *)
-
-val check : token -> unit
-(** Raise {!Cancelled} if the token is cancelled. *)
+    A job that raises never raises out of {!run}: it and its transitive
+    dependents surface as structured {!outcome}s. *)
 
 type reason =
-  | Timed_out of float  (** deadline in seconds that was exceeded *)
   | Exception of string
   | Dependency of int  (** id of the failed dependency *)
   | Aborted  (** the run's abort switch was set before this job dispatched *)
 
-type failure = { index : int; label : string; attempts : int; reason : reason }
+type failure = { index : int; label : string; reason : reason }
 
 val pp_failure : Format.formatter -> failure -> unit
+(** ["job N (label) failed after K attempt(s): ..."]: K is 1 for an
+    {!Exception}, 0 for a job that never ran. *)
 
 type 'a outcome = Done of 'a | Failed of failure
 
@@ -43,29 +26,14 @@ type 'a job = {
   label : string;
   cat : string;  (** trace category (phase) *)
   deps : int list;  (** indices into the job array, each < this job's index *)
-  work : token -> (int -> 'a) -> 'a;
-      (** [work token get] runs the job; [get i] returns dependency [i]'s
-          result (only valid for declared deps, which are guaranteed
-          [Done]). *)
+  work : (int -> 'a) -> 'a;
+      (** [work get] runs the job; [get i] returns dependency [i]'s result
+          (only valid for declared deps, which are guaranteed [Done]). *)
 }
 
-val run :
-  ?jobs:int ->
-  ?retries:int ->
-  ?backoff:float ->
-  ?timeout:float ->
-  ?fault:(label:string -> attempt:int -> fault option) ->
-  ?abort:bool Atomic.t ->
-  ?trace:Trace.t ->
-  'a job array ->
-  'a outcome array
-(** [jobs] worker domains (default {!Domain.recommended_domain_count});
-    [retries] extra attempts after a transient fault (default 2); [backoff]
-    base delay in seconds, doubled per attempt (default 0); [timeout]
-    per-job deadline in seconds (default none — cancellation is cooperative,
-    so only jobs that observe their token stop early). [fault] must be a
-    pure function of (label, attempt) to preserve determinism. [abort],
-    once set, makes every not-yet-dispatched job fail as {!Aborted}
-    without running — the crash-injection path uses it so a simulated
-    process death executes no further work. Raises [Invalid_argument] on
-    malformed dependencies. *)
+val run : ?jobs:int -> ?abort:bool Atomic.t -> ?trace:Trace.t -> 'a job array -> 'a outcome array
+(** [jobs] worker domains (default {!Domain.recommended_domain_count}).
+    [abort], once set, makes every not-yet-dispatched job fail as
+    {!Aborted} without running — the crash-injection path uses it so a
+    simulated process death executes no further work. Raises
+    [Invalid_argument] on malformed dependencies. *)

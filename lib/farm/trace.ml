@@ -4,7 +4,6 @@ type span = {
   worker : int;
   t_start : float;
   t_end : float;
-  attempt : int;
   outcome : string;
 }
 
@@ -68,10 +67,10 @@ let to_chrome_json t =
       sep ();
       Buffer.add_string buf
         (Printf.sprintf
-           "{\"name\":\"%s\",\"cat\":\"%s\",\"ph\":\"X\",\"pid\":1,\"tid\":%d,\"ts\":%.1f,\"dur\":%.1f,\"args\":{\"attempt\":%d,\"outcome\":\"%s\"}}"
+           "{\"name\":\"%s\",\"cat\":\"%s\",\"ph\":\"X\",\"pid\":1,\"tid\":%d,\"ts\":%.1f,\"dur\":%.1f,\"args\":{\"outcome\":\"%s\"}}"
            (Soc_util.Json.escape s.name) (Soc_util.Json.escape s.cat) s.worker (s.t_start *. 1e6)
            ((s.t_end -. s.t_start) *. 1e6)
-           s.attempt (Soc_util.Json.escape s.outcome)))
+           (Soc_util.Json.escape s.outcome)))
     (spans t);
   List.iter
     (fun (name, v) ->

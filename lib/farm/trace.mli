@@ -2,7 +2,7 @@
 
     Spans accumulate into a thread-safe collector and export as Chrome
     [trace_event] JSON (load the file in [chrome://tracing] / Perfetto:
-    one row per worker, one complete event per job attempt). Counters
+    one row per worker, one complete event per job). Counters
     render as a {!Soc_util.Table} summary. *)
 
 type span = {
@@ -11,8 +11,7 @@ type span = {
   worker : int;  (** worker index — the trace [tid] *)
   t_start : float;  (** seconds since trace creation *)
   t_end : float;
-  attempt : int;  (** 0 for the first try *)
-  outcome : string;  (** ["ok"], ["transient"], ["timeout"], ["error"] *)
+  outcome : string;  (** ["ok"] or ["error"] *)
 }
 
 type t

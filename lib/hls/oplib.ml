@@ -37,10 +37,6 @@ let latency (i : Soc_kernel.Cfg.instr) : int =
   | Store _ -> 1
   | Pop _ | Push _ -> 1
 
-(* Whether the instruction can stall the FSM waiting for a handshake. *)
-let is_blocking (i : Soc_kernel.Cfg.instr) =
-  match i with Pop _ | Push _ -> true | _ -> false
-
 let fu_class_key = function
   | Alu op -> "alu:" ^ Soc_kernel.Ast.binop_symbol op
   | Multiplier -> "mul"

@@ -16,8 +16,5 @@ val is_div : Soc_kernel.Ast.binop -> bool
 val classify : Soc_kernel.Cfg.instr -> fu_class
 val latency : Soc_kernel.Cfg.instr -> int
 
-val is_blocking : Soc_kernel.Cfg.instr -> bool
-(** Whether the instruction can stall the FSM on a stream handshake. *)
-
 val fu_class_key : fu_class -> string
 (** Stable string key for occupancy bookkeeping. *)

@@ -52,20 +52,6 @@ let asap_block (dfg : Dfg.t) =
   done;
   { csteps; nsteps = max 1 (makespan dfg csteps) }
 
-let alap_block (dfg : Dfg.t) ~deadline =
-  let n = Array.length dfg.instrs in
-  let csteps = Array.make n 0 in
-  for i = n - 1 downto 0 do
-    let latest =
-      List.fold_left
-        (fun acc (s, w) -> min acc (csteps.(s) - w))
-        (deadline - Oplib.latency dfg.instrs.(i))
-        dfg.succs.(i)
-    in
-    csteps.(i) <- max 0 latest
-  done;
-  { csteps; nsteps = max 1 (makespan dfg csteps) }
-
 (* ------------------------------------------------------------------ *)
 (* Resource-constrained list scheduling                                *)
 (* ------------------------------------------------------------------ *)

@@ -51,10 +51,8 @@ type kernel = {
 
 let port_name = function Scalar { pname; _ } | Stream { pname; _ } -> pname
 let port_dir = function Scalar { dir; _ } | Stream { dir; _ } -> dir
-let port_ty = function Scalar { ty; _ } | Stream { ty; _ } -> ty
 let is_stream = function Stream _ -> true | Scalar _ -> false
 
-let scalar_ports k = List.filter (fun p -> not (is_stream p)) k.ports
 let stream_ports k = List.filter is_stream k.ports
 
 let stream_inputs k =

@@ -50,9 +50,7 @@ type kernel = {
 
 val port_name : port -> string
 val port_dir : port -> dir
-val port_ty : port -> Ty.t
 val is_stream : port -> bool
-val scalar_ports : kernel -> port list
 val stream_ports : kernel -> port list
 val stream_inputs : kernel -> port list
 val stream_outputs : kernel -> port list

@@ -8,8 +8,6 @@ type t = U1 | U8 | U16 | U32 | I32
 
 let width = function U1 -> 1 | U8 -> 8 | U16 -> 16 | U32 -> 32 | I32 -> 32
 
-let is_signed = function I32 -> true | U1 | U8 | U16 | U32 -> false
-
 let to_string = function
   | U1 -> "bool"
   | U8 -> "uint8_t"

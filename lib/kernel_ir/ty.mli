@@ -5,7 +5,6 @@
 type t = U1 | U8 | U16 | U32 | I32
 
 val width : t -> int
-val is_signed : t -> bool
 val to_string : t -> string
 (** The C spelling, e.g. [uint8_t]. *)
 

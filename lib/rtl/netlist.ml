@@ -103,11 +103,9 @@ let one = Const (1, 1)
 let zero = Const (0, 1)
 
 let is_input t s = List.exists (fun i -> i.sid = s.sid) t.inputs
-let is_output t s = List.exists (fun o -> o.sid = s.sid) t.outputs
 
 let signal_count t = t.next_id
 let reg_count t = List.length t.regs
-let comb_count t = List.length t.combs
 
 (* Total flip-flop bits: what synthesis reports as "FF". *)
 let ff_bits t = List.fold_left (fun acc r -> acc + r.q.width) 0 t.regs

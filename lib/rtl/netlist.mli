@@ -96,10 +96,8 @@ val one : expr
 val zero : expr
 
 val is_input : t -> signal -> bool
-val is_output : t -> signal -> bool
 val signal_count : t -> int
 val reg_count : t -> int
-val comb_count : t -> int
 
 val ff_bits : t -> int
 (** Total flip-flop bits: what synthesis reports as "FF". *)

@@ -92,8 +92,3 @@ let sample t =
 let to_string t =
   if not t.header_done then emit_header t;
   Buffer.contents t.buf
-
-let write_file t path =
-  let oc = open_out path in
-  output_string oc (to_string t);
-  close_out oc

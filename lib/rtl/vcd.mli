@@ -19,4 +19,3 @@ val binary_of_int : width:int -> int -> string
 
 val sample : t -> unit
 val to_string : t -> string
-val write_file : t -> string -> unit

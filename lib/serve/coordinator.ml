@@ -42,22 +42,28 @@ type config = {
   clock : unit -> float;
   max_frame : int;
   heartbeat_interval_ms : int;
-  miss_threshold : int;  (** consecutive missed beats before a worker is down *)
   rpc_timeout_ms : int;  (** per-attempt budget: connect + handshake + build *)
   retries : int;  (** extra attempts after the first, all workers errored *)
   retry_base_ms : int;  (** base of the exponential retry backoff *)
   hedge_after_ms : float option;
       (** straggler threshold; [None] derives it from the p95 of wins *)
-  hedge_factor : float;
-  hedge_min_ms : float;
-  seed : int;  (** jitter + rotation determinism *)
 }
 
 let default_config =
   { endpoints = []; clock = Unix.gettimeofday;
     max_frame = Protocol.max_frame_default; heartbeat_interval_ms = 250;
-    miss_threshold = 3; rpc_timeout_ms = 60_000; retries = 3; retry_base_ms = 50;
-    hedge_after_ms = None; hedge_factor = 2.0; hedge_min_ms = 100.0; seed = 0 }
+    rpc_timeout_ms = 60_000; retries = 3; retry_base_ms = 50; hedge_after_ms = None }
+
+(* Consecutive missed beats before a worker is down. *)
+let miss_threshold = 3
+
+(* A derived hedge threshold is [hedge_factor x] the p95 of past wins,
+   never below [hedge_min_ms]. *)
+let hedge_factor = 2.0
+let hedge_min_ms = 100.0
+
+(* Seeds the retry jitter and the key-rotated worker order. *)
+let jitter_seed = 0
 
 type built = { design : string; digest : string; manifest : string; wall_ms : float }
 
@@ -130,7 +136,7 @@ let mark_beat t w ~ok =
   end
   else begin
     w.misses <- w.misses + 1;
-    if w.misses >= t.cfg.miss_threshold then w.down <- true
+    if w.misses >= miss_threshold then w.down <- true
   end;
   Mutex.unlock t.lock
 
@@ -298,7 +304,7 @@ let build t ~source ~key ?deadline_ms () : (outcome, string) result =
     (* Key-rotated worker order, live workers first: retries and hedges
        walk it so consecutive attempts land on different workers. *)
     let start =
-      int_of_float (Soc_util.Rng.keyed_float ~seed:t.cfg.seed ~key ~n:0 *. float_of_int n)
+      int_of_float (Soc_util.Rng.keyed_float ~seed:jitter_seed ~key ~n:0 *. float_of_int n)
     in
     let rotated = List.init n (fun i -> t.workers.((start + i) mod n)) in
     let up, dn = List.partition (fun w -> not (is_down t w)) rotated in
@@ -312,7 +318,7 @@ let build t ~source ~key ?deadline_ms () : (outcome, string) result =
           (* Not enough latency signal yet: don't burn a replica on a
              guess — cold builds always look like stragglers. *)
           if Histogram.count t.hist >= 8 then
-            Some (Float.max t.cfg.hedge_min_ms (t.cfg.hedge_factor *. Histogram.p95 t.hist))
+            Some (Float.max hedge_min_ms (hedge_factor *. Histogram.p95 t.hist))
           else None
       in
       let hedge_at =
@@ -402,7 +408,7 @@ let build t ~source ~key ?deadline_ms () : (outcome, string) result =
               Atomic.incr t.s_retries;
               let backoff_ms =
                 float_of_int (t.cfg.retry_base_ms * (1 lsl min 6 (!retries_done - 1)))
-                *. (0.5 +. Soc_util.Rng.keyed_float ~seed:t.cfg.seed ~key ~n:!retries_done)
+                *. (0.5 +. Soc_util.Rng.keyed_float ~seed:jitter_seed ~key ~n:!retries_done)
               in
               Thread.delay (backoff_ms /. 1000.0);
               launch !launched;

@@ -10,7 +10,7 @@
     exponential backoff + deterministic jitter (re-routing to the next
     worker), hedges stragglers past a p95-derived threshold by racing a
     second replica (first valid answer wins, loser is sent [Cancel]),
-    and a heartbeat thread marks a worker down after [miss_threshold]
+    and a heartbeat thread marks a worker down after three
     consecutive missed beats — in-flight attempts poll that verdict and
     abandon a partitioned worker without waiting for TCP.
 
@@ -27,22 +27,17 @@ type config = {
   clock : unit -> float;
   max_frame : int;
   heartbeat_interval_ms : int;
-  miss_threshold : int;  (** consecutive missed beats before a worker is down *)
   rpc_timeout_ms : int;  (** per-attempt budget: connect + handshake + build *)
   retries : int;  (** extra attempts after the first, all workers errored *)
   retry_base_ms : int;  (** base of the exponential retry backoff *)
   hedge_after_ms : float option;
-      (** straggler threshold; [None] derives [hedge_factor x p95] of
-          past wins (and never hedges before 8 wins of signal) *)
-  hedge_factor : float;
-  hedge_min_ms : float;
-  seed : int;  (** jitter + worker-rotation determinism *)
+      (** straggler threshold; [None] derives twice the p95 of past
+          wins, floor 100 ms (and never hedges before 8 wins of signal) *)
 }
 
 val default_config : config
-(** No endpoints, 250 ms beats, 3 misses to down, 60 s attempt budget,
-    3 retries from a 50 ms backoff base, derived hedging (x2 the p95,
-    floor 100 ms), seed 0. *)
+(** No endpoints, 250 ms beats, 60 s attempt budget, 3 retries from a
+    50 ms backoff base, derived hedging. *)
 
 type built = { design : string; digest : string; manifest : string; wall_ms : float }
 
@@ -66,7 +61,7 @@ type t
 
 val create : config -> t
 (** Starts the heartbeat thread (if any endpoints). Workers start
-    healthy; the first [miss_threshold] failed beats take one down. *)
+    healthy; three consecutive failed beats take one down. *)
 
 val build :
   t -> source:string -> key:string -> ?deadline_ms:int -> unit -> (outcome, string) result

@@ -510,13 +510,6 @@ let reject_reason_of_label = function
 
 type request_state = Queued of int | Running | Done | Failed of string | Expired
 
-let state_label = function
-  | Queued _ -> "queued"
-  | Running -> "running"
-  | Done -> "done"
-  | Failed _ -> "failed"
-  | Expired -> "expired"
-
 type server_stats = {
   uptime_ms : float;
   workers : int;  (** configured pool size *)

@@ -126,7 +126,6 @@ type request_state =
   | Failed of string
   | Expired
 
-val state_label : request_state -> string
 
 type server_stats = {
   uptime_ms : float;

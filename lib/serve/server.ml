@@ -50,8 +50,6 @@ type config = {
   build_timeout_ms : int option;  (** per-build wall cap, independent of deadlines *)
   watchdog_grace_ms : int;  (** slack past deadline before the watchdog fires *)
   max_worker_restarts : int;  (** restart budget within [restart_window_ms] *)
-  restart_window_ms : int;
-  restart_backoff_ms : int;  (** base of the exponential restart backoff *)
   max_sessions : int;  (** concurrent connection cap *)
   idle_session_timeout_ms : int option;  (** drop sessions idle this long *)
   (* fleet *)
@@ -60,7 +58,6 @@ type config = {
           coordinator that dispatches builds to the fleet and only
           builds locally as a fallback *)
   fleet_rpc_timeout_ms : int;  (** per-dispatch-attempt budget *)
-  fleet_hedge_ms : int option;  (** straggler threshold; None = p95-derived *)
 }
 
 let default_config =
@@ -70,9 +67,13 @@ let default_config =
     clock = Unix.gettimeofday;
     breaker_threshold = 3; breaker_cooldown_ms = 30_000;
     build_timeout_ms = None; watchdog_grace_ms = 100;
-    max_worker_restarts = 8; restart_window_ms = 60_000; restart_backoff_ms = 10;
-    max_sessions = 64; idle_session_timeout_ms = None;
-    fleet = []; fleet_rpc_timeout_ms = 60_000; fleet_hedge_ms = None }
+    max_worker_restarts = 8; max_sessions = 64; idle_session_timeout_ms = None;
+    fleet = []; fleet_rpc_timeout_ms = 60_000 }
+
+(* The sliding window [max_worker_restarts] counts over, and the base of
+   the exponential backoff before each replacement. *)
+let restart_window_ms = 60_000
+let restart_backoff_ms = 10
 
 (* What a job carries; it yields a {!Coordinator.built}. [source] is the
    submitted DSL text verbatim: a remote worker must parse the *same
@@ -344,7 +345,7 @@ let spawn_worker t w = w.wthread <- Some (Thread.create (fun () -> worker_main t
 let plan_restart t =
   Mutex.lock t.lock;
   let now = t.cfg.clock () in
-  let window = float_of_int t.cfg.restart_window_ms /. 1000.0 in
+  let window = float_of_int restart_window_ms /. 1000.0 in
   t.restart_times <- List.filter (fun ts -> now -. ts <= window) t.restart_times;
   let r =
     if t.degraded || List.length t.restart_times >= t.cfg.max_worker_restarts then begin
@@ -354,7 +355,7 @@ let plan_restart t =
     else begin
       let k = List.length t.restart_times in
       t.restart_times <- now :: t.restart_times;
-      `Replace (t.cfg.restart_backoff_ms * (1 lsl min 6 k))
+      `Replace (restart_backoff_ms * (1 lsl min 6 k))
     end
   in
   Mutex.unlock t.lock;
@@ -684,8 +685,7 @@ let start (cfg : config) =
              (Coordinator.create
                 { Coordinator.default_config with
                   endpoints = cfg.fleet; clock = cfg.clock; max_frame = cfg.max_frame;
-                  rpc_timeout_ms = cfg.fleet_rpc_timeout_ms;
-                  hedge_after_ms = Option.map float_of_int cfg.fleet_hedge_ms }));
+                  rpc_timeout_ms = cfg.fleet_rpc_timeout_ms }));
       remote_fallbacks = Atomic.make 0;
       startup_diags; lock = Mutex.create ();
       cond = Condition.create (); phase = Serving; stopping = false;
@@ -736,5 +736,3 @@ let stop t =
     workers;
   Option.iter Thread.join t.monitor_thread;
   Option.iter Soc_farm.Journal.close t.journal
-
-let cache_diags t = Soc_farm.Cache.diags t.cache

@@ -44,10 +44,9 @@ type config = {
           request deadlines; [None] = no cap *)
   watchdog_grace_ms : int;  (** slack past the limit before the watchdog fires *)
   max_worker_restarts : int;
-      (** worker replacements allowed within [restart_window_ms] before
-          the pool is declared degraded *)
-  restart_window_ms : int;
-  restart_backoff_ms : int;  (** base of the exponential restart backoff *)
+      (** worker replacements allowed within a 60 s sliding window
+          (each after a 10 ms-based exponential backoff) before the pool
+          is declared degraded *)
   max_sessions : int;  (** concurrent connection cap *)
   idle_session_timeout_ms : int option;
       (** drop a session whose socket is idle this long; [None] = never *)
@@ -58,9 +57,6 @@ type config = {
           run locally only when the fleet is exhausted — counted in
           [server_stats.remote_fallbacks]. *)
   fleet_rpc_timeout_ms : int;  (** per-dispatch-attempt budget *)
-  fleet_hedge_ms : int option;
-      (** straggler threshold for hedged dispatch; [None] derives it
-          from the p95 of past wins *)
 }
 
 val default_config : config
@@ -81,8 +77,6 @@ val port : t -> int
 val startup_diags : t -> Soc_util.Diag.t list
 (** What the startup fsck found/repaired ([IO4xx] family). *)
 
-val cache_diags : t -> Soc_util.Diag.t list
-(** Integrity diagnostics the live cache accumulated while serving. *)
 
 val wait : t -> [ `Drained of int * int | `Killed of string * int ]
 (** Block until a [Drain] request completed ((completed, failed) requests)

@@ -93,10 +93,4 @@ let to_json ?file t =
   in
   "{" ^ String.concat "," fields ^ "}"
 
-let list_to_json ?file ds =
-  match ds with
-  | [] -> "[]"
-  | ds ->
-    "[\n  " ^ String.concat ",\n  " (List.map (to_json ?file) ds) ^ "\n]"
-
 let pp ppf t = Format.pp_print_string ppf (to_string t)

@@ -57,8 +57,5 @@ val to_json : ?file:string -> t -> string
 (** One JSON object with fields [code], [severity], [subject], [message]
     and optionally [file], [line], [col]. *)
 
-val list_to_json : ?file:string -> t list -> string
-(** A JSON array of {!to_json} objects, newline-separated for
-    readability. *)
 
 val pp : Format.formatter -> t -> unit

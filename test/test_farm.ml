@@ -75,7 +75,7 @@ let test_chash_name_is_not_the_key () =
 (* ------------------------------------------------------------------ *)
 
 let int_job ?(deps = []) label f : int Pool.job =
-  { Pool.label; cat = "test"; deps; work = (fun _ get -> f get) }
+  { Pool.label; cat = "test"; deps; work = f }
 
 let test_pool_dag_order () =
   (* A diamond: 0 -> {1, 2} -> 3. *)
@@ -106,14 +106,14 @@ let test_pool_failure_propagates () =
     [|
       int_job "ok" (fun _ -> 1);
       { Pool.label = "boom"; cat = "test"; deps = [ 0 ];
-        work = (fun _ _ -> failwith "kaboom") };
+        work = (fun _ -> failwith "kaboom") };
       int_job ~deps:[ 1 ] "downstream" (fun get -> get 1);
       int_job ~deps:[ 0 ] "independent" (fun get -> get 0 + 1);
     |]
   in
-  let o = Pool.run ~jobs:2 ~retries:0 jobs in
+  let o = Pool.run ~jobs:2 jobs in
   (match o.(1) with
-  | Pool.Failed { Pool.reason = Pool.Exception msg; attempts = 1; _ } ->
+  | Pool.Failed { Pool.reason = Pool.Exception msg; _ } ->
     check Alcotest.bool "message kept" true (Tstr.contains msg "kaboom")
   | _ -> Alcotest.fail "job 1 should fail");
   (match o.(2) with
@@ -123,36 +123,19 @@ let test_pool_failure_propagates () =
   | Pool.Done 2 -> ()
   | _ -> Alcotest.fail "independent job must still run"
 
-let test_pool_retries_transient () =
-  (* Fails twice, succeeds on the third attempt. *)
-  let fault ~label ~attempt =
-    if label = "flaky" && attempt < 2 then Some (Pool.Transient "simulated") else None
+let test_pp_failure_text () =
+  (* The text reaches serve replies, the tuner's failure column and
+     `socdsl build`'s FAILED line: pin it for each reason. *)
+  let text reason =
+    Format.asprintf "%a" Pool.pp_failure { Pool.index = 3; label = "hls:k"; reason }
   in
-  let trace = Trace.create () in
-  let jobs = [| int_job "flaky" (fun _ -> 42) |] in
-  (match Pool.run ~jobs:1 ~retries:3 ~fault ~trace jobs with
-  | [| Pool.Done 42 |] -> ()
-  | _ -> Alcotest.fail "should converge after retries");
-  check Alcotest.int "two retries counted" 2 (List.assoc "retries" (Trace.counters trace))
-
-let test_pool_retries_exhausted () =
-  let fault ~label:_ ~attempt:_ = Some (Pool.Transient "always") in
-  match Pool.run ~jobs:1 ~retries:2 ~fault [| int_job "doomed" (fun _ -> 0) |] with
-  | [| Pool.Failed { Pool.attempts = 3; reason = Pool.Exception msg; _ } |] ->
-    check Alcotest.bool "says retries exhausted" true (Tstr.contains msg "retries exhausted")
-  | _ -> Alcotest.fail "should fail after exhausting retries"
-
-let test_pool_hang_cancelled () =
-  let fault ~label ~attempt:_ = if label = "wedged" then Some Pool.Hang else None in
-  let t0 = Unix.gettimeofday () in
-  match
-    Pool.run ~jobs:2 ~retries:0 ~timeout:0.05 ~fault
-      [| int_job "wedged" (fun _ -> 0); int_job "fine" (fun _ -> 9) |]
-  with
-  | [| Pool.Failed { Pool.reason = Pool.Timed_out _; _ }; Pool.Done 9 |] ->
-    check Alcotest.bool "cancelled promptly (not a test-suite hang)" true
-      (Unix.gettimeofday () -. t0 < 10.0)
-  | _ -> Alcotest.fail "hung job must time out; healthy job must finish"
+  check Alcotest.string "exception" "job 3 (hls:k) failed after 1 attempt: Failure(\"x\")"
+    (text (Pool.Exception "Failure(\"x\")"));
+  check Alcotest.string "dependency" "job 3 (hls:k) failed after 0 attempts: dependency 1 failed"
+    (text (Pool.Dependency 1));
+  check Alcotest.string "aborted"
+    "job 3 (hls:k) failed after 0 attempts: aborted before dispatch (run killed)"
+    (text Pool.Aborted)
 
 (* ------------------------------------------------------------------ *)
 (* Job graph                                                           *)
@@ -279,50 +262,22 @@ let prop_jobs_count_invariant =
       let many = Farm.build_batch ~jobs:n (entries ()) in
       digests one = digests many)
 
-let prop_transient_faults_converge =
-  QCheck.Test.make ~name:"farm: retried transient faults leave no trace in artifacts"
-    ~count:5
-    QCheck.(int_bound 10_000)
-    (fun seed ->
-      let baseline = digests (Farm.build_batch ~jobs:2 (entries ())) in
-      let faulty =
-        Farm.build_batch ~jobs:4
-          ~fault:(Farm.random_faults ~seed ~rate:0.5 ~max_attempt:2 ())
-          ~retries:4 (entries ())
-      in
-      faulty.Farm.failures = [] && digests faulty = baseline)
-
-let test_batch_retries_exhausted_reported () =
-  (* A kernel job that always faults: its architectures fail with a
-     structured report; unaffected architectures still build. *)
-  let fault ~label ~attempt:_ =
-    if Tstr.contains label "halfProbability" then Some (Pool.Transient "injected") else None
-  in
-  let r = Farm.build_batch ~jobs:2 ~retries:1 ~fault (entries ()) in
+let test_batch_faulty_kernel_reported () =
+  (* An HLS run that raises: the architectures needing that kernel fail
+     with a structured report; unaffected architectures still build. *)
+  let module F = Soc_fault.Fault.Service in
+  F.reset ();
+  F.arm F.Hls ~only:"halfProbability" (F.Raise "injected");
+  let r = Fun.protect ~finally:F.reset (fun () -> Farm.build_batch ~jobs:2 (entries ())) in
   (* Arch2/3/4 need halfProbability; Arch1 does not. *)
   check (Alcotest.list Alcotest.int) "only Arch1 builds" [ 0 ]
     (List.map fst r.Farm.builds);
-  check Alcotest.int "one primary failure" 1 (List.length r.Farm.failures);
   (match r.Farm.failures with
-  | [ { Pool.reason = Pool.Exception msg; attempts = 2; label; _ } ] ->
+  | [ { Pool.reason = Pool.Exception msg; label; _ } ] ->
     check Alcotest.bool "names the kernel" true (Tstr.contains label "halfProbability");
-    check Alcotest.bool "explains" true (Tstr.contains msg "retries exhausted")
-  | _ -> Alcotest.fail "expected a structured transient-failure report");
+    check Alcotest.bool "carries the raised message" true (Tstr.contains msg "injected")
+  | _ -> Alcotest.fail "expected one structured exception report");
   check Alcotest.bool "dependents skipped, not failed" true (r.Farm.stats.Farm.skipped > 0)
-
-let test_batch_hung_job_deadline () =
-  (* Acceptance (satellite): a hung job is cancelled and reported; the
-     rest of the batch completes. *)
-  let fault ~label ~attempt:_ =
-    if Tstr.contains label "halfProbability" then Some Pool.Hang else None
-  in
-  let r = Farm.build_batch ~jobs:2 ~retries:0 ~timeout:0.05 ~fault (entries ()) in
-  check (Alcotest.list Alcotest.int) "only Arch1 builds" [ 0 ] (List.map fst r.Farm.builds);
-  match r.Farm.failures with
-  | [ { Pool.reason = Pool.Timed_out limit; label; _ } ] ->
-    check Alcotest.bool "the hung HLS job" true (Tstr.contains label "halfProbability");
-    check (Alcotest.float 1e-9) "reports the deadline" 0.05 limit
-  | _ -> Alcotest.fail "expected a timeout report"
 
 let test_batch_missing_kernel_is_structured () =
   (* A broken entry surfaces as Job_failed data, not an exception, and
@@ -412,9 +367,7 @@ let suite =
     ("pool: diamond DAG", `Quick, test_pool_dag_order);
     ("pool: deterministic across workers", `Quick, test_pool_deterministic_across_workers);
     ("pool: failure propagates to dependents", `Quick, test_pool_failure_propagates);
-    ("pool: transient retried", `Quick, test_pool_retries_transient);
-    ("pool: retries exhausted", `Quick, test_pool_retries_exhausted);
-    ("pool: hung job cancelled", `Quick, test_pool_hang_cancelled);
+    ("pool: failure text per reason", `Quick, test_pp_failure_text);
     ("plan: kernels deduplicated", `Quick, test_plan_dedups_kernels);
     ("plan: ownership by batch order", `Quick, test_plan_ownership_by_batch_order);
     ("batch = serial flow (bit-exact)", `Quick, test_batch_matches_serial_flow);
@@ -422,13 +375,11 @@ let suite =
     ("batch: warm cache bit-exact", `Quick, test_batch_warm_cache_bit_exact);
     ("batch: warm from disk", `Quick, test_batch_warm_from_disk);
     ("batch: corrupt disk cache = miss", `Quick, test_batch_disk_version_mismatch_is_miss);
-    ("batch: faulty kernel reported, rest builds", `Quick, test_batch_retries_exhausted_reported);
-    ("batch: hung job hits deadline", `Quick, test_batch_hung_job_deadline);
+    ("batch: faulty kernel reported, rest builds", `Quick, test_batch_faulty_kernel_reported);
     ("batch: missing kernel reported", `Quick, test_batch_missing_kernel_is_structured);
     ("reuse: estimate = actual", `Quick, test_reuse_agreement);
     ("flow hls hook + farm cache", `Quick, test_flow_hls_hook);
     ("trace spans + chrome json", `Quick, test_trace_spans_and_json);
     ("report rendering", `Quick, test_report_rendering);
     qtest prop_jobs_count_invariant;
-    qtest prop_transient_faults_converge;
   ]

@@ -558,8 +558,8 @@ let farm_cmd =
   in
   let jobs_arg =
     Arg.(value & opt (some int) None & info [ "j"; "jobs" ] ~docv:"N"
-         ~doc:"Worker domains (default: the recommended domain count). Results are \
-               bit-identical for any value.")
+         ~doc:"Workers: the calling thread plus $(docv)-1 helper domains (default: \
+               the recommended domain count). Results are bit-identical for any value.")
   in
   let cache_dir_arg =
     Arg.(value & opt (some string) None & info [ "cache-dir" ] ~docv:"DIR"
@@ -700,7 +700,8 @@ let explore_cmd =
   in
   let jobs_arg =
     Arg.(value & opt (some int) None & info [ "j"; "jobs" ] ~docv:"N"
-         ~doc:"Farm worker domains per batch; results are bit-identical for any value.")
+         ~doc:"Farm workers per batch, the calling thread included; results are \
+               bit-identical for any value.")
   in
   let cache_dir_arg =
     Arg.(value & opt (some string) None & info [ "cache-dir" ] ~docv:"DIR"

@@ -32,7 +32,7 @@ type options = {
 
 val default_options : options
 (** Evolve (population 8, generations 4), seed 42, 16x16 image, full
-    Zynq-7020 budget, RTL mode, 1 farm domain. *)
+    Zynq-7020 budget, RTL mode, 1 farm worker (the caller). *)
 
 val budget_device : int -> Soc_hls.Report.device
 (** The Zynq-7020 scaled to a percentage budget (clamped to 1..100). *)

@@ -2,9 +2,10 @@
     fault-tolerant, observable job DAG.
 
     [build_batch] plans the batch with {!Jobgraph.plan}, runs it on a
-    {!Pool} of worker domains sharing a content-addressed {!Cache}, and
-    returns every architecture's {!Soc_core.Flow.build} plus structured
-    failure reports — a failing job never aborts the batch.
+    {!Pool} of workers (the caller and its helper domains) sharing a
+    content-addressed {!Cache}, and returns every architecture's
+    {!Soc_core.Flow.build} plus structured failure reports — a failing
+    job never aborts the batch.
 
     Determinism guarantees (tested):
     - results are bit-identical for any [jobs] count;
@@ -48,6 +49,10 @@ val build_batch :
 (** Defaults: [jobs] = {!Domain.recommended_domain_count}, a fresh
     in-memory [cache]. Pass the same [cache] across batches (or one with a
     [disk_dir]) to share real HLS work.
+
+    [jobs] counts the caller: the batch runs on the calling thread plus
+    [jobs - 1] helper domains ({!Pool.run}), so [~jobs:1] runs every job
+    inline and spawns no domain.
 
     [journal] makes the batch crash-safe: every job is journaled
     in-flight before it runs and done after it completes, and a journal

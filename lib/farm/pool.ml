@@ -151,6 +151,11 @@ let run ?jobs:(nworkers = Domain.recommended_domain_count ()) ?abort ?trace
     loop ()
   in
   let nworkers = max 1 (min nworkers (max 1 n)) in
-  let domains = List.init nworkers (fun w -> Domain.spawn (fun () -> worker_loop (w + 1))) in
-  List.iter Domain.join domains;
+  (* The caller is worker 1: a fresh domain starts cold and costs more
+     than a small batch, so only the extra workers get one. *)
+  let helpers =
+    List.init (nworkers - 1) (fun w -> Domain.spawn (fun () -> worker_loop (w + 2)))
+  in
+  worker_loop 1;
+  List.iter Domain.join helpers;
   Array.map (function Some o -> o | None -> assert false) st.results

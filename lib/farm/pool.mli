@@ -1,7 +1,8 @@
 (** Deterministic DAG executor over OCaml 5 domains.
 
-    Jobs form a dependency graph; ready jobs are dispatched to a fixed pool
-    of worker domains in ascending job-id order. Because every job is a
+    Jobs form a dependency graph; ready jobs are dispatched to a fixed set
+    of workers in ascending job-id order: the calling domain plus helper
+    domains spawned for the run. Because every job is a
     pure function of its dependencies' results, the outcome array is
     bit-identical regardless of the worker count or interleaving — only
     wall-clock changes.
@@ -32,7 +33,10 @@ type 'a job = {
 }
 
 val run : ?jobs:int -> ?abort:bool Atomic.t -> ?trace:Trace.t -> 'a job array -> 'a outcome array
-(** [jobs] worker domains (default {!Domain.recommended_domain_count}).
+(** [jobs] workers (default {!Domain.recommended_domain_count}): the
+    caller runs as worker 1 and [jobs - 1] helper domains are spawned and
+    joined before [run] returns, so [~jobs:1] spawns no domain and runs
+    every job on the calling thread. Trace spans number workers 1..[jobs].
     [abort], once set, makes every not-yet-dispatched job fail as
     {!Aborted} without running — the crash-injection path uses it so a
     simulated process death executes no further work. Raises

@@ -70,6 +70,16 @@ let outcome_label = function
   | `Rejected r -> "rejected: " ^ r
   | `Odd -> "unexpected reply"
 
+(* Which worker thread takes a dispatch is the scheduler's choice, so a
+   worker crash is labelled without the worker's id: the campaign report
+   reads the same on every run. *)
+let crash_label = function
+  | `Failed m as o -> (
+    match Scanf.sscanf m "worker %_d crashed: %[^\n]" Fun.id with
+    | reason -> "failed: worker crashed: " ^ reason
+    | exception (Scanf.Scan_failure _ | Failure _ | End_of_file) -> outcome_label o)
+  | o -> outcome_label o
+
 (* Poll [p] every 10 ms for up to [for_s] seconds. *)
 let eventually ?(for_s = 5.0) p =
   let deadline = Unix.gettimeofday () +. for_s in
@@ -150,7 +160,7 @@ let run (cfg : config) : report =
       note "worker supervision"
         (crashed && restored && o0' = `Done)
         (Printf.sprintf "crash outcomes [%s; %s], pool restored=%b, resubmit %s"
-           (outcome_label o0) (outcome_label o1) restored (outcome_label o0'));
+           (crash_label o0) (crash_label o1) restored (outcome_label o0'));
       Fault.Service.disarm Fault.Service.Worker;
 
       (* 3. Poison pill: a spec whose kernel always crashes the engine

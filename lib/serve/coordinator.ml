@@ -71,13 +71,31 @@ type outcome =
   | Built of built
   | Build_failed of string  (** the worker's authoritative verdict *)
 
+(* What a job that raised [Cancelled] leaves in its pool failure. *)
+let cancelled_reason =
+  Soc_farm.Pool.Exception (Printexc.to_string Soc_fault.Fault.Service.Cancelled)
+
 (* The single-entry in-process build behind both a worker's dispatch
-   and the server's local path. *)
-let build_entry ?journal ?kill ~cache entry =
-  match Farm.build_batch ~jobs:1 ~cache ?journal ?kill [ entry ] with
+   and the server's local path. The daemons call it from systhreads that
+   share their domain with session and heartbeat threads; a [~jobs:1]
+   batch runs inline, so it gets a domain of its own here, or it would
+   hold that domain's runtime lock for the whole build. [cancel] is
+   registered on the thread that runs the jobs: a cancel probe is keyed
+   by thread. *)
+let build_entry ?journal ?kill ?cancel ~cache entry =
+  let batch () = Farm.build_batch ~jobs:1 ~cache ?journal ?kill [ entry ] in
+  let run () =
+    match cancel with
+    | None -> batch ()
+    | Some probe -> Soc_fault.Fault.Service.with_cancel probe batch
+  in
+  match Domain.join (Domain.spawn run) with
   | exception ((Soc_fault.Fault.Killed _ | Soc_fault.Fault.Service.Cancelled) as e) ->
     raise e
   | exception e -> Error ("internal error: " ^ Printexc.to_string e)
+  | { Farm.failures; _ }
+    when List.exists (fun f -> f.Soc_farm.Pool.reason = cancelled_reason) failures ->
+    raise Soc_fault.Fault.Service.Cancelled
   | { Farm.builds = [ (_, b) ]; _ } as report ->
     Ok
       { design = b.Soc_core.Flow.spec.Soc_core.Spec.design_name;

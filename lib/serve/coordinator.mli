@@ -48,14 +48,21 @@ type outcome =
 val build_entry :
   ?journal:Soc_farm.Journal.t ->
   ?kill:Soc_fault.Fault.crash_point ->
+  ?cancel:(unit -> bool) ->
   cache:Soc_farm.Cache.t ->
   Soc_farm.Jobgraph.entry ->
   (built, string) result
 (** The in-process build of one entry — [Farm.build_batch ~jobs:1] —
-    that a worker runs for a dispatch and the server runs locally.
-    [Error] carries the failure reason; an exception inside the build is
-    an ["internal error: ..."] failure, except {!Soc_fault.Fault.Killed}
-    and {!Soc_fault.Fault.Service.Cancelled}, which propagate. *)
+    that a worker runs for a dispatch and the server runs locally. The
+    batch runs inline on a domain spawned and joined for it, so a build
+    never holds the calling daemon thread's runtime lock.
+    [cancel] is registered as the build's cancel probe
+    ({!Soc_fault.Fault.Service.with_cancel}) on that domain, where the
+    jobs run. [Error] carries the failure reason; an exception inside
+    the build is an ["internal error: ..."] failure, except
+    {!Soc_fault.Fault.Killed} and {!Soc_fault.Fault.Service.Cancelled},
+    which propagate. A job that failed with [Cancelled] raises
+    [Cancelled] too. *)
 
 type t
 

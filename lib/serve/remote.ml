@@ -2,12 +2,13 @@
 
    A worker is the dumb end of the fleet — it owns no queue, no journal
    and no supervision ladder; it parses the source a coordinator hands
-   it, runs [Farm.build_batch ~jobs:1] against its (usually shared)
-   content-addressed cache and answers with the build artifacts. All the
-   retry/hedge/failover intelligence lives in {!Coordinator}; what the
-   worker guarantees is *idempotency*: builds are keyed by the
-   coalescing key the coordinator supplies, a duplicate [Build] for a
-   key already in flight attaches to the running build instead of
+   it, runs {!Coordinator.build_entry} ([Farm.build_batch ~jobs:1] on a
+   domain spawned per build, off the session threads' domain) against
+   its (usually shared) content-addressed cache and answers with the
+   build artifacts. All the retry/hedge/failover intelligence lives in
+   {!Coordinator}; what the worker guarantees is *idempotency*: builds
+   are keyed by the coalescing key the coordinator supplies, a
+   duplicate [Build] for a key already in flight attaches to the running build instead of
    re-dispatching it, and finished work is served from the farm cache,
    so the coordinator may re-send, race or abandon requests freely
    without ever repeating HLS.
@@ -19,8 +20,10 @@
    which the coordinator re-dispatches elsewhere.
 
    Cancellation: [Cancel key] flips the cancel flag of the in-flight
-   build for [key]; the build notices at the next injected-hang poll
-   ({!Soc_fault.Fault.Service.with_cancel}) and aborts with a [Failed
+   build for [key]; the build notices at the next injected-hang poll,
+   at batch entry or inside any of its jobs, since the probe
+   ({!Soc_fault.Fault.Service.with_cancel}) is registered on the build
+   domain's thread that runs them, and aborts with a [Failed
    "cancelled"] answer to any attached waiters. A build that never hits
    an injection point simply runs to completion and warms the cache —
    harmless, because results are content-addressed.
@@ -120,10 +123,7 @@ let run_build t ~source ~key : Protocol.response =
           Mutex.unlock t.lock;
           c
         in
-        match
-          Fault.Service.with_cancel probe (fun () ->
-              Coordinator.build_entry ~cache:t.cache entry)
-        with
+        match Coordinator.build_entry ~cancel:probe ~cache:t.cache entry with
         | exception Fault.Service.Cancelled -> fail "cancelled"
         | Error reason -> fail reason
         | Ok b ->

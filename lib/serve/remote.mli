@@ -2,14 +2,15 @@
 
     The dumb end of the fleet: no queue, no journal, no supervision —
     it parses the source a {!Coordinator} hands it and runs
-    [Farm.build_batch ~jobs:1] against its (usually shared)
-    content-addressed cache. What it guarantees is {e idempotency}:
-    builds are keyed by the coordinator's coalescing key, a duplicate
-    [Build] for a key in flight attaches to the running build, and
-    finished work is served from the farm cache — so the coordinator
-    may re-send, race and abandon requests freely without repeating
-    HLS. A [Cancel key] aborts the in-flight build for [key] at its
-    next cancellable point. Crash safety is the cache's atomic
+    {!Coordinator.build_entry} ([Farm.build_batch ~jobs:1] on a domain
+    spawned per build) against its (usually shared) content-addressed
+    cache. What it guarantees is {e idempotency}: builds are keyed by
+    the coordinator's coalescing key, a duplicate [Build] for a key in
+    flight attaches to the running build, and finished work is served
+    from the farm cache — so the coordinator may re-send, race and
+    abandon requests freely without repeating HLS. A [Cancel key] aborts
+    the in-flight build for [key] at its next cancellable point, in any
+    of its jobs. Crash safety is the cache's atomic
     temp+rename commits; a killed worker loses only in-flight work.
 
     Replies are written on the ["wk:<worker_id>"] net-fault link so

@@ -4,14 +4,16 @@
    Threading model: a {!Listener} (one accept thread, one systhread per
    connection, bounded by [max_sessions] and [idle_session_timeout_ms]),
    a fixed pool of worker threads pulling from the {!Scheduler}, and one
-   supervisor thread watching all of it. Each worker runs
-   [Farm.build_batch ~jobs:1], which spawns its domain underneath, so
-   total parallelism is [workers] builds in flight. Workers share one
-   content-addressed cache and one write-ahead journal (both are
-   internally locked; the journal's replay machinery ignores interleaved
-   batch markers), so coalesced or repeated requests reuse HLS work across
-   the daemon's whole lifetime and a kill at any instant is recoverable
-   by restarting the daemon on the same cache directory.
+   supervisor thread watching all of it. Each worker runs its build
+   through {!Coordinator.build_entry}: a [Farm.build_batch ~jobs:1] run
+   inline on a domain spawned for that build, so total parallelism is
+   [workers] builds in flight and no build holds the runtime lock of the
+   daemon's own threads. Workers share one content-addressed cache and
+   one write-ahead journal (both are internally locked; the journal's
+   replay machinery ignores interleaved batch markers), so coalesced or
+   repeated requests reuse HLS work across the daemon's whole lifetime
+   and a kill at any instant is recoverable by restarting the daemon on
+   the same cache directory.
 
    Self-healing: exceptions inside a build are contained (the request
    fails, the worker survives); an exception that nevertheless kills a

@@ -4,13 +4,14 @@
     A {!Listener} (one accept thread, one thread per connection, bounded
     by [max_sessions] and [idle_session_timeout_ms], which the {!Remote}
     worker does not apply) and [workers] worker threads pulling from the
-    admission {!Scheduler}; each worker runs [Farm.build_batch ~jobs:1]
-    (one domain under the hood). Workers share
-    one content-addressed cache and one write-ahead journal, so identical
-    requests coalesce in flight, repeats hit the cache, and a simulated
-    kill ([kill]) is recoverable by restarting the daemon on the same
-    cache directory — the restarted server re-verifies the cache and
-    compacts the journal with the doctor's fsck passes before serving.
+    admission {!Scheduler}; each worker runs {!Coordinator.build_entry}
+    ([Farm.build_batch ~jobs:1] on a domain spawned for that build).
+    Workers share one content-addressed cache and one write-ahead
+    journal, so identical requests coalesce in flight, repeats hit the
+    cache, and a simulated kill ([kill]) is recoverable by restarting
+    the daemon on the same cache directory — the restarted server
+    re-verifies the cache and compacts the journal with the doctor's
+    fsck passes before serving.
 
     The pool is supervised: an exception inside a build fails that
     request and leaves its worker healthy; a worker thread that dies

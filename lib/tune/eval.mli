@@ -39,6 +39,6 @@ val population :
   prepare:('c -> prep) ->
   'c list ->
   ('c * Search.outcome) list
-(** Outcomes in input order. [jobs] (default 1) is the farm's domain
-    count per batch; pass the same [cache] across calls (or one with a
+(** Outcomes in input order. [jobs] (default 1) is the farm's worker
+    count per batch, the caller included; pass the same [cache] across calls (or one with a
     disk dir) to share real HLS work between rounds, runs and processes. *)

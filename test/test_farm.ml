@@ -123,6 +123,68 @@ let test_pool_failure_propagates () =
   | Pool.Done 2 -> ()
   | _ -> Alcotest.fail "independent job must still run"
 
+let test_pool_one_worker_is_the_caller () =
+  let caller = (Domain.self () :> int) in
+  let jobs =
+    Array.init 12 (fun i ->
+        int_job (Printf.sprintf "j%d" i)
+          ~deps:(if i < 2 then [] else [ i - 2 ])
+          (fun _ -> (Domain.self () :> int)))
+  in
+  Array.iteri
+    (fun i o ->
+      match o with
+      | Pool.Done d -> check Alcotest.int (Printf.sprintf "job %d on the caller" i) caller d
+      | Pool.Failed _ -> Alcotest.fail "no job may fail")
+    (Pool.run ~jobs:1 jobs)
+
+(* A wide DAG with one failing branch: the outcome array, failures and
+   skips included, must not depend on how many workers ran it. *)
+let test_pool_three_workers_match_one () =
+  let jobs =
+    Array.init 30 (fun i ->
+        if i = 7 then
+          { Pool.label = "boom"; cat = "test"; deps = [ 0 ]; work = (fun _ -> failwith "seven") }
+        else
+          int_job (Printf.sprintf "j%d" i)
+            ~deps:(if i < 3 then [] else [ i mod 3; i - 3 ])
+            (fun get ->
+              if i < 3 then i + 1
+              else (get (i mod 3) * 131 + get (i - 3) + i) land 0xFFFFF))
+  in
+  let run n =
+    let trace = Trace.create () in
+    let o = Pool.run ~jobs:n ~trace jobs in
+    (Marshal.to_string o [ Marshal.No_sharing ], Trace.spans trace)
+  in
+  let bytes1, _ = run 1 in
+  let bytes3, spans3 = run 3 in
+  check Alcotest.string "jobs 3 outcomes = jobs 1 outcomes" bytes1 bytes3;
+  List.iter
+    (fun (s : Trace.span) ->
+      check Alcotest.bool
+        (Printf.sprintf "span %s worker %d in 1..3" s.Trace.name s.Trace.worker)
+        true
+        (s.Trace.worker >= 1 && s.Trace.worker <= 3))
+    spans3
+
+let test_pool_caller_job_raises () =
+  let jobs =
+    [|
+      { Pool.label = "boom"; cat = "test"; deps = []; work = (fun _ -> failwith "on the caller") };
+      int_job ~deps:[ 0 ] "child" (fun get -> get 0);
+      int_job ~deps:[ 1 ] "grandchild" (fun get -> get 1);
+      int_job "sibling" (fun _ -> 3);
+    |]
+  in
+  match Pool.run ~jobs:1 jobs with
+  | [| Pool.Failed { Pool.reason = Pool.Exception msg; _ };
+       Pool.Failed { Pool.reason = Pool.Dependency 0; _ };
+       Pool.Failed { Pool.reason = Pool.Dependency 1; _ };
+       Pool.Done 3 |] ->
+    check Alcotest.bool "message kept" true (Tstr.contains msg "on the caller")
+  | _ -> Alcotest.fail "the raise must become a Failed outcome and skip its dependents"
+
 let test_pp_failure_text () =
   (* The text reaches serve replies, the tuner's failure column and
      `socdsl build`'s FAILED line: pin it for each reason. *)
@@ -368,6 +430,10 @@ let suite =
     ("pool: deterministic across workers", `Quick, test_pool_deterministic_across_workers);
     ("pool: failure propagates to dependents", `Quick, test_pool_failure_propagates);
     ("pool: failure text per reason", `Quick, test_pp_failure_text);
+    ("pool: jobs 1 runs every job on the caller", `Quick, test_pool_one_worker_is_the_caller);
+    ("pool: jobs 3 outcomes match jobs 1, workers 1..3", `Quick,
+      test_pool_three_workers_match_one);
+    ("pool: a raise on the caller is a Failed outcome", `Quick, test_pool_caller_job_raises);
     ("plan: kernels deduplicated", `Quick, test_plan_dedups_kernels);
     ("plan: ownership by batch order", `Quick, test_plan_ownership_by_batch_order);
     ("batch = serial flow (bit-exact)", `Quick, test_batch_matches_serial_flow);

@@ -1,7 +1,8 @@
-(* Mutation fuzzing of the two untrusted source readers. The serve daemon
-   parses DSL text straight off the wire and [socdsl check --rtl] reads
-   [.ntl] files; both must answer malformed bytes with their own parse
-   error, never with an exception from deep inside the library. Seeds
+(* Mutation fuzzing of the two untrusted source readers and of the
+   analysis behind the daemon's admission path. The serve daemon parses
+   DSL text straight off the wire and [socdsl check --rtl] reads [.ntl]
+   files; both must answer malformed bytes with their own parse error,
+   never with an exception from deep inside the library. Seeds
    are the shipped examples; mutations are byte-level and seeded, so a
    failure replays exactly. *)
 
@@ -67,9 +68,8 @@ let mutate src =
   let rec go k s = if k = 0 then return s else one s >>= go (k - 1) in
   go k src
 
-let mutated seeds =
-  QCheck.make ~print:String.escaped
-    QCheck.Gen.((fun st -> oneofl (Lazy.force seeds) st) >>= mutate)
+let mutant seeds = QCheck.Gen.((fun st -> oneofl (Lazy.force seeds) st) >>= mutate)
+let mutated seeds = QCheck.make ~print:String.escaped (mutant seeds)
 
 (* What [socdsl check --rtl FILE.ntl] runs: the reader, then the lint,
    then (lint-clean netlists only) lowering with the translation
@@ -104,7 +104,43 @@ let test_parse_unvalidated =
       | exception Parser.Parse_error _ -> true
       | exception Lexer.Lex_error _ -> true)
 
+(* Past the parser, the daemon's admission path resolves the spec
+   against its kernel library and plans the batch, which runs the
+   analyzer: a spec that parses must come back with diagnostics, however
+   malformed its graph. *)
+let otsu_library = lazy (Soc_apps.Otsu.kernels ~width:16 ~height:16)
+
+let parse src =
+  match Parser.parse ~validate:false src with
+  | spec -> Some spec
+  | exception (Parser.Parse_error _ | Lexer.Lex_error _) -> None
+
+(* Most mutants fail to parse; draw again (up to 200 times) until one
+   parses, so nearly every case reaches the analyzer. *)
+let parsing_mutant =
+  let open QCheck.Gen in
+  let rec draw k =
+    mutant tg_seeds >>= fun src ->
+    if k = 0 || parse src <> None then return src else draw (k - 1)
+  in
+  QCheck.make ~print:String.escaped (draw 200)
+
+let test_analyzer_total =
+  QCheck.Test.make ~count:3000
+    ~name:"pre_flight and plan return diagnostics on mutated .tg that parses"
+    parsing_mutant (fun src ->
+      match parse src with
+      | None -> true
+      | Some spec ->
+        let entry = Soc_farm.Jobgraph.entry_of ~library:(Lazy.force otsu_library) spec in
+        let (_ : Soc_util.Diag.t list) =
+          Soc_core.Flow.pre_flight entry.Soc_farm.Jobgraph.spec
+            ~kernels:entry.Soc_farm.Jobgraph.kernels
+        in
+        let (_ : Soc_farm.Jobgraph.t) = Soc_farm.Jobgraph.plan [ entry ] in
+        true)
+
 let suite =
   List.map
     (fun t -> QCheck_alcotest.to_alcotest ~rand:(Random.State.make [| 7 |]) t)
-    [ test_ntl_reader; test_parse_result; test_parse_unvalidated ]
+    [ test_ntl_reader; test_parse_result; test_parse_unvalidated; test_analyzer_total ]

@@ -252,10 +252,13 @@ let test_worker_idempotent_duplicate () =
           | _ -> Alcotest.fail "expected two Done replies");
           check int "one dispatch, one build" 1 (Remote.builds_done wk)))
 
-let test_worker_cancel_interrupts_hang () =
+(* [point] places the hang: [Batch] wedges the batch before it plans,
+   [Hls] wedges a job inside the pool. Either way the cancel must reach
+   the thread that hangs. *)
+let test_worker_cancel_interrupts_hang point () =
   with_faults (fun () ->
       with_worker (fun wk ->
-          Fault.Service.arm Fault.Service.Batch ~times:1 (Fault.Service.Hang 30.0);
+          Fault.Service.arm point ~times:1 (Fault.Service.Hang 30.0);
           let source = arch_source Graphs.Arch2 in
           let r = ref Protocol.Pong in
           let t0 = Unix.gettimeofday () in
@@ -563,7 +566,9 @@ let suite =
     Alcotest.test_case "worker: duplicate build attaches, builds once" `Quick
       test_worker_idempotent_duplicate;
     Alcotest.test_case "worker: cancel interrupts an injected hang" `Quick
-      test_worker_cancel_interrupts_hang;
+      (test_worker_cancel_interrupts_hang Fault.Service.Batch);
+    Alcotest.test_case "worker: cancel interrupts a hang inside an HLS job" `Quick
+      (test_worker_cancel_interrupts_hang Fault.Service.Hls);
     Alcotest.test_case "worker: kill closes the port, restart reuses it" `Quick
       test_worker_kill_frees_port;
     Alcotest.test_case "wire: oversized frame gets a structured rejection" `Quick

@@ -1,11 +1,11 @@
 (* Benchmark harness: regenerates every table and figure of the paper's
    evaluation (Section VI), plus the ablations called out in DESIGN.md and
-   Bechamel microbenchmarks of the infrastructure.
+   the co-simulation backend comparison whose verify-overhead check CI
+   gates on.
 
    Usage:
      dune exec bench/main.exe                 # all paper experiments
      dune exec bench/main.exe -- table2 fig9  # a subset
-     dune exec bench/main.exe -- --perf       # Bechamel microbenches
      dune exec bench/main.exe -- --list       # list experiment ids
 
    Absolute numbers cannot match the paper (our substrate is a simulated
@@ -930,230 +930,6 @@ let hls_report () =
   Format.printf "%a" Soc_hls.Perf.pp accel.Soc_hls.Engine.perf
 
 (* ------------------------------------------------------------------ *)
-(* Extension: the generation daemon (local workers, fleets)            *)
-(* ------------------------------------------------------------------ *)
-
-let serve_bench () =
-  hr "Extension -- generation daemon: concurrent clients, cold vs warm cache";
-  print_endline "(the daemon admits requests through the analyzer gate, coalesces";
-  print_endline " identical in-flight specs and shares one content-addressed cache;";
-  print_endline " each round submits the four Otsu architectures concurrently)";
-  let module Server = Soc_serve.Server in
-  let module Client = Soc_serve.Client in
-  let module P = Soc_serve.Protocol in
-  let sources =
-    List.map
-      (fun arch -> Soc_core.Printer.to_source (Graphs.arch_spec arch))
-      Graphs.all_archs
-  in
-  let kernels = Soc_apps.Otsu.kernels ~width:case_w ~height:case_h in
-  (* One client per thread: the client is thread-compatible, not thread-safe. *)
-  let round port =
-    let t0 = Unix.gettimeofday () in
-    let threads =
-      List.map
-        (fun src ->
-          Thread.create
-            (fun () ->
-              let c = Client.connect ~port () in
-              Fun.protect
-                ~finally:(fun () -> Client.close c)
-                (fun () ->
-                  match Client.submit_and_wait c src with
-                  | _, Some (P.Result_r { state = P.Done; _ }) -> ()
-                  | _ -> failwith "serve bench: request did not complete"))
-            ())
-        sources
-    in
-    List.iter Thread.join threads;
-    Unix.gettimeofday () -. t0
-  in
-  let n = List.length sources in
-  let configs =
-    [ ("1 worker", 1); (Printf.sprintf "%d workers" n, n) ]
-  in
-  let t =
-    Table.create ~title:"four-arch Otsu batch over TCP"
-      [ "configuration"; "cold (ms)"; "warm (ms)"; "cold req/s"; "warm req/s";
-        "p50 (ms)"; "p95 (ms)"; "engine runs" ]
-      ~aligns:
-        [ Table.Left; Table.Right; Table.Right; Table.Right; Table.Right;
-          Table.Right; Table.Right; Table.Right ]
-  in
-  let rows =
-    List.map
-      (fun (label, workers) ->
-        let server =
-          Server.start { Server.default_config with workers; kernels }
-        in
-        let port = Server.port server in
-        let cold = round port in
-        let mid = Server.stats server in
-        let warm = round port in
-        let stats = Server.stats server in
-        let c = Client.connect ~port () in
-        ignore (Client.drain c);
-        Client.close c;
-        ignore (Server.wait server);
-        Server.stop server;
-        Table.add_row t
-          [ label;
-            Printf.sprintf "%.2f" (1000.0 *. cold);
-            Printf.sprintf "%.2f" (1000.0 *. warm);
-            Printf.sprintf "%.1f" (float_of_int n /. cold);
-            Printf.sprintf "%.1f" (float_of_int n /. warm);
-            Printf.sprintf "%.2f" stats.P.lat_p50_ms;
-            Printf.sprintf "%.2f" stats.P.lat_p95_ms;
-            Printf.sprintf "%d + %d" mid.P.engine_runs
-              (stats.P.engine_runs - mid.P.engine_runs) ];
-        (label, workers, cold, warm, mid, stats))
-      configs
-  in
-  Table.print t;
-  (match rows with
-  | (_, _, _, _, _, s1) :: _ ->
-      Printf.printf "warm round hits the cache: %b (hit rate %.2f)\n"
-        (s1.P.cache_hits + s1.P.cache_disk_hits > 0)
-        s1.P.hit_rate;
-      Printf.printf "warm rounds ran the engine 0 times: %b\n"
-        (List.for_all
-           (fun (_, _, _, _, (m : P.server_stats), (s : P.server_stats)) ->
-             s.P.engine_runs = m.P.engine_runs)
-           rows)
-  | [] -> ());
-  let row_json (label, workers, cold, warm, (m : P.server_stats),
-                (s : P.server_stats)) =
-    Printf.sprintf
-      "    {\"config\": %S, \"workers\": %d, \"requests\": %d,\n\
-      \     \"cold_s\": %.6f, \"warm_s\": %.6f,\n\
-      \     \"cold_req_per_s\": %.2f, \"warm_req_per_s\": %.2f,\n\
-      \     \"lat_p50_ms\": %.3f, \"lat_p95_ms\": %.3f, \"lat_p99_ms\": %.3f,\n\
-      \     \"cold_engine_runs\": %d, \"warm_engine_runs\": %d,\n\
-      \     \"cache_hit_rate\": %.4f}"
-      label workers (2 * n) cold warm
-      (float_of_int n /. cold)
-      (float_of_int n /. warm)
-      s.P.lat_p50_ms s.P.lat_p95_ms s.P.lat_p99_ms m.P.engine_runs
-      (s.P.engine_runs - m.P.engine_runs)
-      s.P.hit_rate
-  in
-  (* ---- distributed serve: 1 coordinator x {1,2,4} remote workers ---- *)
-  hr "Extension -- distributed serve: coordinator + remote worker fleet";
-  print_endline "(builds are dispatched to 'serve --worker' daemons over the wire;";
-  print_endline " workers share one content-addressed cache, so the warm round and";
-  print_endline " every retry is served without repeating HLS)";
-  let module Remote = Soc_serve.Remote in
-  let fresh_dir () =
-    let d = Filename.temp_file "socdsl-bench-fleet" ".cache" in
-    Sys.remove d;
-    d
-  in
-  (* One fleet round: [fleet_size] workers on a fresh shared cache behind
-     one coordinating server; returns cold/warm walls and final stats. *)
-  let fleet_round ?(arm_drop = false) ?(rpc_timeout_ms = 10_000) fleet_size =
-    let dir = fresh_dir () in
-    let workers =
-      List.init fleet_size (fun i ->
-          Remote.start
-            { Remote.default_config with
-              cache_dir = Some dir; kernels;
-              worker_id = Printf.sprintf "w%d" i })
-    in
-    let server =
-      Server.start
-        { Server.default_config with
-          workers = n; kernels; cache_dir = Some dir;
-          fleet = List.map (fun w -> ("127.0.0.1", Remote.port w)) workers;
-          fleet_rpc_timeout_ms = rpc_timeout_ms }
-    in
-    Fun.protect
-      ~finally:(fun () ->
-        Soc_fault.Fault.Net.reset ();
-        (try Server.stop server with _ -> ());
-        List.iter (fun w -> try Remote.stop w with _ -> ()) workers)
-      (fun () ->
-        let port = Server.port server in
-        let cold = round port in
-        if arm_drop then Soc_fault.Fault.Net.arm ~seed:42 ~drop:0.2 ();
-        let warm = round port in
-        let dropped =
-          if arm_drop then Soc_fault.Fault.Net.fault_count "drop" else 0
-        in
-        (cold, warm, Server.stats server, dropped))
-  in
-  let ft =
-    Table.create ~title:"fleet: four-arch Otsu batch over TCP"
-      [ "fleet"; "cold (ms)"; "warm (ms)"; "cold req/s"; "warm req/s";
-        "p50 (ms)"; "p95 (ms)"; "p99 (ms)"; "dispatches"; "fallbacks" ]
-      ~aligns:
-        [ Table.Left; Table.Right; Table.Right; Table.Right; Table.Right;
-          Table.Right; Table.Right; Table.Right; Table.Right; Table.Right ]
-  in
-  let fleet_rows =
-    List.map
-      (fun fleet_size ->
-        let cold, warm, (s : P.server_stats), _ = fleet_round fleet_size in
-        Table.add_row ft
-          [ Printf.sprintf "%d worker(s)" fleet_size;
-            Printf.sprintf "%.2f" (1000.0 *. cold);
-            Printf.sprintf "%.2f" (1000.0 *. warm);
-            Printf.sprintf "%.1f" (float_of_int n /. cold);
-            Printf.sprintf "%.1f" (float_of_int n /. warm);
-            Printf.sprintf "%.2f" s.P.lat_p50_ms;
-            Printf.sprintf "%.2f" s.P.lat_p95_ms;
-            Printf.sprintf "%.2f" s.P.lat_p99_ms;
-            string_of_int s.P.remote_dispatches;
-            string_of_int s.P.remote_fallbacks ];
-        (fleet_size, cold, warm, s))
-      [ 1; 2; 4 ]
-  in
-  Table.print ft;
-  (* A dropped reply frame costs a whole attempt timeout, so the drop
-     round runs with a tight per-attempt budget. *)
-  let dcold, ddrop, (ds : P.server_stats), dropped =
-    fleet_round ~arm_drop:true ~rpc_timeout_ms:2_000 2
-  in
-  Printf.printf
-    "2-worker fleet under 20%% frame drop: %.1f req/s clean, %.1f req/s \
-     dropping (%d frames dropped, %d retries, %d fallbacks)\n"
-    (float_of_int n /. dcold)
-    (float_of_int n /. ddrop)
-    dropped ds.P.remote_retries ds.P.remote_fallbacks;
-  let fleet_row_json (fleet_size, cold, warm, (s : P.server_stats)) =
-    Printf.sprintf
-      "    {\"fleet_size\": %d, \"requests\": %d,\n\
-      \     \"cold_s\": %.6f, \"warm_s\": %.6f,\n\
-      \     \"cold_req_per_s\": %.2f, \"warm_req_per_s\": %.2f,\n\
-      \     \"lat_p50_ms\": %.3f, \"lat_p95_ms\": %.3f, \"lat_p99_ms\": %.3f,\n\
-      \     \"remote_dispatches\": %d, \"remote_retries\": %d,\n\
-      \     \"remote_hedges\": %d, \"remote_fallbacks\": %d}"
-      fleet_size (2 * n) cold warm
-      (float_of_int n /. cold)
-      (float_of_int n /. warm)
-      s.P.lat_p50_ms s.P.lat_p95_ms s.P.lat_p99_ms s.P.remote_dispatches
-      s.P.remote_retries s.P.remote_hedges s.P.remote_fallbacks
-  in
-  let json =
-    Printf.sprintf
-      "{\n  \"bench\": \"serve\",\n  \"batch\": \"otsu_arch1_to_4\",\n  \
-       \"image\": \"%dx%d\",\n  \"rounds\": [\n%s\n  ],\n  \
-       \"fleet_rounds\": [\n%s\n  ],\n  \
-       \"fleet_drop_round\": {\"fleet_size\": 2, \"drop\": 0.2, \
-       \"clean_req_per_s\": %.2f, \"drop_req_per_s\": %.2f, \
-       \"frames_dropped\": %d, \"remote_retries\": %d, \
-       \"remote_fallbacks\": %d}\n}\n"
-      case_w case_h
-      (String.concat ",\n" (List.map row_json rows))
-      (String.concat ",\n" (List.map fleet_row_json fleet_rows))
-      (float_of_int n /. dcold)
-      (float_of_int n /. ddrop)
-      dropped ds.P.remote_retries ds.P.remote_fallbacks
-  in
-  Soc_util.Atomic_io.write_file "BENCH_serve.json" json;
-  print_string json;
-  print_endline "wrote BENCH_serve.json"
-
-(* ------------------------------------------------------------------ *)
 (* Cosim backends: interpreter vs compiled tape                        *)
 (* ------------------------------------------------------------------ *)
 
@@ -1399,71 +1175,6 @@ let cosim_bench () =
   end
 
 (* ------------------------------------------------------------------ *)
-(* Bechamel microbenchmarks                                            *)
-(* ------------------------------------------------------------------ *)
-
-let perf () =
-  hr "Bechamel microbenchmarks of the infrastructure";
-  let open Bechamel in
-  let hist_kernel = Soc_apps.Otsu.histogram_kernel ~pixels:1024 in
-  let parse_src = Graphs.listing4_source in
-  let accel = Soc_hls.Engine.synthesize hist_kernel in
-  let gray = List.init 1024 (fun i -> i land 255) in
-  let tests =
-    [
-      Test.make ~name:"dsl_parse_listing4"
-        (Staged.stage (fun () -> ignore (Soc_core.Parser.parse parse_src)));
-      Test.make ~name:"hls_synthesize_histogram"
-        (Staged.stage (fun () -> ignore (Soc_hls.Engine.synthesize hist_kernel)));
-      Test.make ~name:"rtl_sim_histogram_1024px"
-        (Staged.stage (fun () ->
-             ignore
-               (Soc_hls.Testbench.run ~streams:[ ("grayScaleImage", gray) ]
-                  accel.Soc_hls.Engine.fsmd)));
-      Test.make ~name:"tcl_generation_otsu"
-        (Staged.stage (fun () ->
-             ignore
-               (Soc_core.Tcl.generate ~version:Soc_core.Tcl.V2015_3
-                  (Graphs.arch_spec Graphs.Arch4))));
-      Test.make ~name:"interp_histogram_1024px"
-        (Staged.stage (fun () ->
-             ignore
-               (Soc_kernel.Interp.run_kernel ~streams:[ ("grayScaleImage", gray) ]
-                  hist_kernel)));
-    ]
-  in
-  let benchmark test =
-    let instance = Toolkit.Instance.monotonic_clock in
-    let cfg = Benchmark.cfg ~limit:200 ~quota:(Time.second 0.5) ~kde:(Some 10) () in
-    let raw = Benchmark.run cfg [ instance ] test in
-    let ols =
-      Analyze.ols ~bootstrap:0 ~r_square:false ~predictors:[| Measure.run |]
-    in
-    let est = Analyze.one ols instance raw in
-    match Analyze.OLS.estimates est with
-    | Some [ ns ] -> ns
-    | _ -> nan
-  in
-  let t =
-    Table.create ~title:"" [ "benchmark"; "time/run" ]
-      ~aligns:[ Table.Left; Table.Right ]
-  in
-  List.iter
-    (fun test ->
-      List.iter
-        (fun (name, basic) ->
-          let ns = benchmark basic in
-          let pretty =
-            if ns > 1e6 then Printf.sprintf "%.2f ms" (ns /. 1e6)
-            else if ns > 1e3 then Printf.sprintf "%.2f us" (ns /. 1e3)
-            else Printf.sprintf "%.0f ns" ns
-          in
-          Table.add_row t [ name; pretty ])
-        (List.map (fun b -> (Test.Elt.name b, b)) (Test.elements test)))
-    tests;
-  Table.print t
-
-(* ------------------------------------------------------------------ *)
 (* Driver                                                              *)
 (* ------------------------------------------------------------------ *)
 
@@ -1490,7 +1201,6 @@ let experiments =
     ("utilization", utilization);
     ("cosim_modes", cosim_modes);
     ("hls_report", hls_report);
-    ("serve", serve_bench);
     ("cosim", cosim_bench);
   ]
 
@@ -1498,9 +1208,8 @@ let () =
   let args = List.tl (Array.to_list Sys.argv) in
   if List.mem "--list" args then
     List.iter (fun (n, _) -> print_endline n) experiments
-  else if List.mem "--perf" args then perf ()
   else begin
-    let selected = List.filter (fun a -> a <> "--perf" && a <> "--list") args in
+    let selected = List.filter (fun a -> a <> "--list") args in
     let to_run =
       if selected = [] then experiments
       else

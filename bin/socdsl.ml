@@ -819,8 +819,7 @@ let serve_cmd =
          drain protocol — it serves builds until killed, which is the
          failure model the coordinator is built around. *)
       let wcfg =
-        { Soc_serve.Remote.default_config with
-          host; port; cache_dir; cache_max_mb = max_mb;
+        { Soc_serve.Remote.host; port; cache_dir; cache_max_mb = max_mb;
           kernels = builtin_kernels (); worker_id }
       in
       let w =

@@ -12,10 +12,6 @@ module Diag = Soc_util.Diag
 
 type port_kind = Lite | Stream
 
-let pp_port_kind fmt = function
-  | Lite -> Format.pp_print_string fmt "AXI-Lite"
-  | Stream -> Format.pp_print_string fmt "AXI-Stream"
-
 type node_spec = {
   node_name : string;
   node_ports : (string * port_kind) list; (* declaration order preserved *)
@@ -23,10 +19,6 @@ type node_spec = {
 }
 
 type endpoint = Soc | Port of string * string (* node, port *)
-
-let pp_endpoint fmt = function
-  | Soc -> Format.pp_print_string fmt "'soc"
-  | Port (n, p) -> Format.fprintf fmt "(%S, %S)" n p
 
 type edge_desc =
   | Connect of string (* node whose AXI-Lite interface joins the bus *)

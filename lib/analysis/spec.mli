@@ -14,8 +14,6 @@ module Diag = Soc_util.Diag
 
 type port_kind = Lite | Stream
 
-val pp_port_kind : Format.formatter -> port_kind -> unit
-
 type node_spec = {
   node_name : string;
   node_ports : (string * port_kind) list;  (** declaration order *)
@@ -23,8 +21,6 @@ type node_spec = {
 }
 
 type endpoint = Soc | Port of string * string
-
-val pp_endpoint : Format.formatter -> endpoint -> unit
 
 type edge_desc =
   | Connect of string
@@ -86,9 +82,6 @@ type error =
 
 val pp_error : Format.formatter -> error -> unit
 val error_to_string : error -> string
-
-val error_code : error -> string
-(** Stable diagnostic code of a graph error (SOC001..SOC011). *)
 
 val validate : t -> (unit, error list) result
 val validate_exn : t -> unit

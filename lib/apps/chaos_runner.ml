@@ -35,7 +35,10 @@ let drains_golden (h : Otsu_runner.host) (ph : Otsu_runner.phases) () =
 
 let default_horizon = 20_000
 
-let run ?(width = 32) ?(height = 32) ?(image_seed = 42) ?(fallback = true)
+(* The seed of the input image every campaign runs on. *)
+let image_seed = 42
+
+let run ?(width = 32) ?(height = 32) ?(fallback = true)
     ?(n_faults = 4) ?(horizon = default_horizon) ?include_permanent ?include_bit_flips
     ?scenario ?timeout ~seed (arch : Graphs.arch) : outcome =
   let _build, live = Otsu_runner.build_arch ~width ~height arch in

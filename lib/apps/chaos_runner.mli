@@ -12,12 +12,9 @@ type outcome = {
   cycles : int;
 }
 
-val default_horizon : int
-
 val run :
   ?width:int ->
   ?height:int ->
-  ?image_seed:int ->
   ?fallback:bool ->
   ?n_faults:int ->
   ?horizon:int ->
@@ -33,7 +30,8 @@ val run :
     from the RNG [seed] over the system's inventory with injection cycles
     in [0, horizon). [fallback:false] disables graceful degradation, so an
     unrecovered campaign raises {!Soc_platform.Executive.Unrecoverable}.
-    Reproducible from [seed] (and the image/geometry parameters) alone. *)
+    The input image comes from a fixed seed (42). Reproducible from
+    [seed] and the geometry alone. *)
 
 val diags : outcome -> Soc_util.Diag.t list
 (** Health findings of one campaign as diagnostics, ready for the unified

@@ -6,25 +6,10 @@
 val add_kernel : Soc_kernel.Ast.kernel
 val mul_kernel : Soc_kernel.Ast.kernel
 
-val stencil_kernel :
-  name:string ->
-  width:int ->
-  height:int ->
-  extra_locals:(string * Soc_kernel.Ty.t) list ->
-  compute:Soc_kernel.Ast.stmt list ->
-  Soc_kernel.Ast.kernel
-(** Shared 3x3 stencil skeleton; [compute] must set variable "res". The
-    pixel emitted at (x, y) for x,y >= 2 is the stencil centred at
-    (x-1, y-1); earlier pixels pass through. *)
-
 val gauss_kernel : width:int -> height:int -> Soc_kernel.Ast.kernel
 val edge_kernel : width:int -> height:int -> Soc_kernel.Ast.kernel
 
 module Golden : sig
-  val stencil_run :
-    width:int -> height:int -> f:((int -> int -> int) -> int) -> int array -> int array
-  (** [f] receives a window accessor [w row col] with (0,0) = north-west. *)
-
   val gauss : width:int -> height:int -> int array -> int array
   val edge : width:int -> height:int -> int array -> int array
 end

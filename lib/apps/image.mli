@@ -17,9 +17,6 @@ val pack_rgb : r:int -> g:int -> b:int -> int
 
 val unpack_rgb : int -> int * int * int
 
-val luma : r:int -> g:int -> b:int -> int
-(** Integer BT.601 approximation: (77R + 150G + 29B) / 256. *)
-
 type rgb_image = { rgb_width : int; rgb_height : int; rgb : int array }
 
 val synthetic_rgb : ?seed:int -> width:int -> height:int -> unit -> rgb_image

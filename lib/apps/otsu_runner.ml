@@ -168,16 +168,16 @@ let execute ?seed ~label ~width ~height live =
     build = Option.map (fun (l : Flow.live) -> l.Flow.lbuild) live;
   }
 
-let build_arch ?(hls_config = Soc_hls.Engine.default_config) ~width ~height arch =
+let build_arch ~width ~height arch =
   let fifo_depth = max 1024 ((width * height) + 16) in
   let build =
-    Flow.build ~hls_config ~fifo_depth (Graphs.arch_spec arch)
+    Flow.build ~fifo_depth (Graphs.arch_spec arch)
       ~kernels:(Graphs.arch_kernels arch ~width ~height)
   in
   (build, Flow.instantiate ~fifo_depth build)
 
-let run_arch ?(width = 64) ?(height = 64) ?seed ?hls_config (arch : Graphs.arch) : result =
-  let _, live = build_arch ?hls_config ~width ~height arch in
+let run_arch ?(width = 64) ?(height = 64) ?seed (arch : Graphs.arch) : result =
+  let _, live = build_arch ~width ~height arch in
   let r = execute ?seed ~label:(Graphs.arch_name arch) ~width ~height (Some live) in
   (* Protocol checkers must stay silent. *)
   (match Soc_platform.System.protocol_violations live.Flow.system with

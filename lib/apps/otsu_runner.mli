@@ -65,22 +65,11 @@ val execute :
   ?seed:int -> label:string -> width:int -> height:int -> Soc_core.Flow.live option -> result
 (** Boot, run the whole plan and read back image, threshold and time. *)
 
-val build_arch :
-  ?hls_config:Soc_hls.Engine.config ->
-  width:int ->
-  height:int ->
-  Graphs.arch ->
-  Soc_core.Flow.build * Soc_core.Flow.live
-(** Build and instantiate one case-study architecture (FIFO depth sized
-    to hold a whole image). *)
+val build_arch : width:int -> height:int -> Graphs.arch -> Soc_core.Flow.build * Soc_core.Flow.live
+(** Build and instantiate one case-study architecture with the default
+    HLS configuration (FIFO depth sized to hold a whole image). *)
 
-val run_arch :
-  ?width:int ->
-  ?height:int ->
-  ?seed:int ->
-  ?hls_config:Soc_hls.Engine.config ->
-  Graphs.arch ->
-  result
+val run_arch : ?width:int -> ?height:int -> ?seed:int -> Graphs.arch -> result
 
 val run_software_only : ?width:int -> ?height:int -> ?seed:int -> unit -> result
 

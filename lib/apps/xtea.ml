@@ -70,16 +70,6 @@ module Golden = struct
       | [ _ ] -> invalid_arg "Xtea.encrypt_words: odd word count"
     in
     go words
-
-  let decrypt_words ~key words =
-    let rec go = function
-      | v0 :: v1 :: rest ->
-        let p0, p1 = decrypt_block ~key (v0, v1) in
-        p0 :: p1 :: go rest
-      | [] -> []
-      | [ _ ] -> invalid_arg "Xtea.decrypt_words: odd word count"
-    in
-    go words
 end
 
 (* ------------------------------------------------------------------ *)

@@ -3,7 +3,6 @@
     a self-checking loopback pipeline. Keys enter over AXI-Lite; block
     streams carry (v0, v1) word pairs. *)
 
-val delta : int
 val rounds : int
 
 module Golden : sig
@@ -13,12 +12,7 @@ module Golden : sig
 
   val encrypt_words : key:int array -> int list -> int list
   (** Pairs of words are blocks; raises on odd word counts. *)
-
-  val decrypt_words : key:int array -> int list -> int list
 end
-
-val key_ports : string list
-(** The four AXI-Lite key registers, ["key0"] .. ["key3"]. *)
 
 val encrypt_kernel : blocks:int -> Soc_kernel.Ast.kernel
 val decrypt_kernel : blocks:int -> Soc_kernel.Ast.kernel

@@ -4,8 +4,6 @@
     of up to [burst_len] beats, paying the DRAM first-word latency per
     burst, subject to FIFO backpressure. *)
 
-val burst_len : int
-
 type mm2s = {
   m_name : string;
   dram : Dram.t;

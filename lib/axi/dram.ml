@@ -1,8 +1,8 @@
 (** Word-addressed shared DRAM model (the Zynq DDR).
 
     Both the GPP and the DMA engines access it. Timing is modelled with a
-    first-word latency plus a per-beat streaming rate, matching a DDR
-    controller servicing AXI bursts on the Zynq HP ports.
+    first-word latency plus one beat per cycle once streaming, matching a
+    DDR controller servicing AXI bursts on the Zynq HP ports.
 
     The address space is backed by fixed-size pages, allocated zero-filled
     on first write; a read of an untouched page returns 0. A system that
@@ -20,18 +20,16 @@ type t = {
   size : int;
   pages : int array array; (* [absent] until the page's first write *)
   first_word_latency : int; (* cycles from burst issue to first beat *)
-  beats_per_cycle : int; (* sustained beats per cycle once streaming (>=1) *)
   mutable reads : int;
   mutable writes : int;
 }
 
-let create ?(first_word_latency = 18) ?(beats_per_cycle = 1) ~words () =
+let create ?(first_word_latency = 18) ~words () =
   if words < 0 then invalid_arg "Dram.create: negative size";
   {
     size = words;
     pages = Array.make ((words + page_mask) lsr page_bits) absent;
     first_word_latency;
-    beats_per_cycle;
     reads = 0;
     writes = 0;
   }
@@ -62,6 +60,6 @@ let read_block t ~addr ~len = Array.init len (fun i -> read t (addr + i))
 
 let write_block t ~addr data = Array.iteri (fun i v -> write t (addr + i) v) data
 
-(* Cycles for a DMA-style burst transfer of [len] beats. *)
-let burst_cycles t ~len =
-  if len <= 0 then 0 else t.first_word_latency + ((len + t.beats_per_cycle - 1) / t.beats_per_cycle)
+(* Cycles for a DMA-style burst transfer of [len] beats, one per cycle
+   after the first-word latency. *)
+let burst_cycles t ~len = if len <= 0 then 0 else t.first_word_latency + len

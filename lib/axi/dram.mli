@@ -1,6 +1,6 @@
 (** Word-addressed shared DRAM model (the Zynq DDR), accessed by the GPP
-    and the DMA engines. Timing: first-word latency plus a sustained
-    per-beat rate, like a DDR controller servicing AXI bursts.
+    and the DMA engines. Timing: first-word latency plus one beat per
+    cycle, like a DDR controller servicing AXI bursts.
 
     Storage is paged: a page is allocated zero-filled on its first write,
     and an untouched word reads as 0, so an instance costs only the
@@ -11,7 +11,7 @@ type t
 val page_words : int
 (** Words per storage page. *)
 
-val create : ?first_word_latency:int -> ?beats_per_cycle:int -> words:int -> unit -> t
+val create : ?first_word_latency:int -> words:int -> unit -> t
 
 val size : t -> int
 

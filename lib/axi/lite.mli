@@ -24,17 +24,8 @@ val ctrl_offset : int
 val status_offset : int
 (** Bit 0 = sticky ap_done. *)
 
-val arg_base : int
-val arg_stride : int
 val arg_offset : int -> int
 (** Register-file offset of the [i]-th scalar argument. *)
-
-val create_regfile : owner:string -> base:int -> size:int -> regfile
-
-val rf_read : regfile -> offset:int -> int
-(** Counted bus read. *)
-
-val rf_write : regfile -> offset:int -> int -> unit
 
 val rf_peek : regfile -> offset:int -> int
 (** Hardware-side access: not counted as a bus transaction. *)

@@ -147,10 +147,10 @@ let design ?(validate = true) name body =
 let trace t = List.rev t.trace
 
 (* Run a description and return both the spec and the keyword trace. *)
-let design_with_trace ?(validate = true) name body =
+let design_with_trace name body =
   let captured = ref [] in
   let spec =
-    design ~validate name (fun t ->
+    design name (fun t ->
         body t;
         captured := trace t)
   in

@@ -60,4 +60,4 @@ val design : ?validate:bool -> string -> (t -> unit) -> Spec.t
 
 val trace : t -> trace_step list
 
-val design_with_trace : ?validate:bool -> string -> (t -> unit) -> Spec.t * trace_step list
+val design_with_trace : string -> (t -> unit) -> Spec.t * trace_step list

@@ -299,7 +299,7 @@ let instantiate ?(config = Soc_platform.Config.zedboard) ?fifo_depth
     b.impls;
   List.iter
     (fun ((a, ap), (bn, bp)) ->
-      ignore (Soc_platform.System.link_stream sys ~src:(a, ap) ~dst:(bn, bp) ()))
+      ignore (Soc_platform.System.link_stream sys ~src:(a, ap) ~dst:(bn, bp)))
     (Spec.internal_links b.spec);
   let channels =
     List.map
@@ -307,10 +307,10 @@ let instantiate ?(config = Soc_platform.Config.zedboard) ?fifo_depth
         let n, p = ch.logical in
         match ch.direction with
         | `To_device ->
-          let name, _ = Soc_platform.System.add_mm2s sys ~dst:(n, p) () in
+          let name, _ = Soc_platform.System.add_mm2s sys ~dst:(n, p) in
           (ch.logical, name)
         | `From_device ->
-          let name, _ = Soc_platform.System.add_s2mm sys ~src:(n, p) () in
+          let name, _ = Soc_platform.System.add_s2mm sys ~src:(n, p) in
           (ch.logical, name))
       b.dma_channels
   in

@@ -12,11 +12,6 @@ type mismatch =
   | Kind_mismatch of string * string
   | Direction_mismatch of string * string
 
-val pp_mismatch : Format.formatter -> mismatch -> unit
-
-val check_kernel : Spec.t -> Spec.node_spec -> Soc_kernel.Ast.kernel -> mismatch list
-(** One node's kernel against its DSL declaration. *)
-
 type node_impl = {
   node : Spec.node_spec;
   kernel : Soc_kernel.Ast.kernel;
@@ -77,9 +72,6 @@ type hls_engine =
 (** How stage 2 obtains an accelerator for a kernel. [`Reused] marks
     results shared from an earlier build; they cost nothing in the Fig. 9
     estimate, and a caching engine also skips the actual synthesis work. *)
-
-val direct_hls : hls_engine
-(** Always runs {!Soc_hls.Engine.synthesize}; every kernel is [`Synthesized]. *)
 
 val pair_kernels :
   Spec.t -> kernels:(string * Soc_kernel.Ast.kernel) list -> (Spec.node_spec * Soc_kernel.Ast.kernel) list
@@ -148,8 +140,9 @@ val build :
   Spec.t ->
   kernels:(string * Soc_kernel.Ast.kernel) list ->
   build
-(** [hls] supplies accelerators (default {!direct_hls}); pass
-    [Soc_farm.Cache.hls_engine] to share real HLS results across builds. *)
+(** [hls] supplies accelerators (default: {!Soc_hls.Engine.synthesize} on
+    every kernel); pass [Soc_farm.Cache.hls_engine] to share real HLS
+    results across builds. *)
 
 type live = {
   lbuild : build;

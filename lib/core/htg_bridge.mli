@@ -5,10 +5,6 @@
     links become direct stream links and boundary ports route through
     'soc. Applying it to the Fig. 1 HTG yields the Fig. 4 architecture. *)
 
-val default_lite_ports : string -> string list
-(** The register interface assumed for hardware task nodes:
-    ["A"; "B"; "return_"], matching the paper's ADD/MULT examples. *)
-
 type error =
   | Sw_phase_with_hw_actors of string
   | No_hardware_nodes

@@ -2,8 +2,5 @@
     [Parser.parse (to_source spec) = spec] (qcheck-verified). The printed
     text is also the DSL side of the Section VI.C conciseness metrics. *)
 
-val endpoint_to_source : Spec.endpoint -> string
-val node_to_source : Spec.node_spec -> string
-val edge_to_source : Spec.edge_spec -> string
 val to_source : Spec.t -> string
 val pp : Format.formatter -> Spec.t -> unit

@@ -11,6 +11,8 @@ type boot_artifacts = {
   dev_entries : string list; (* /dev nodes the driver exposes *)
 }
 
+let sanitize = Soc_util.Ident.sanitize
+
 let dt_node ~label ~compatible ~base ~size extra =
   let lines =
     [
@@ -40,7 +42,7 @@ let device_tree (spec : Spec.t) ~(address_map : (string * int * int) list) =
       let extra =
         if is_dma then [ "dma-channels = <1>;"; "interrupts = <0 29 4>;" ] else []
       in
-      Buffer.add_string buf (dt_node ~label:(Tcl.sanitize owner) ~compatible ~base ~size extra);
+      Buffer.add_string buf (dt_node ~label:(sanitize owner) ~compatible ~base ~size extra);
       Buffer.add_char buf '\n')
     address_map;
   ignore spec;
@@ -67,9 +69,9 @@ let api_header (spec : Spec.t) =
         Buffer.add_string buf
           (Printf.sprintf "/* AXI-Lite accelerator %s */\n" n.node_name);
         Buffer.add_string buf
-          (Printf.sprintf "void %s_start(%s);\n" (Tcl.sanitize n.node_name) args);
+          (Printf.sprintf "void %s_start(%s);\n" (sanitize n.node_name) args);
         Buffer.add_string buf
-          (Printf.sprintf "uint32_t %s_wait(void);\n\n" (Tcl.sanitize n.node_name))
+          (Printf.sprintf "uint32_t %s_wait(void);\n\n" (sanitize n.node_name))
       end)
     spec.nodes;
   Buffer.add_string buf "#endif\n";
@@ -92,7 +94,7 @@ let api_source (spec : Spec.t) ~(address_map : (string * int * int) list) =
           | Some (_, b, _) -> b
           | None -> 0
         in
-        let c_name = Tcl.sanitize n.node_name in
+        let c_name = sanitize n.node_name in
         let args =
           String.concat ", " (List.map (fun (p, _) -> "uint32_t " ^ p) lite_ports)
         in

@@ -5,11 +5,6 @@
 
 type version = V2014_2 | V2015_3
 
-val version_string : version -> string
-
-val sanitize : string -> string
-(** Tcl/Verilog identifier sanitization used for cell names. *)
-
 type dma_plan = {
   dma_name : string;
   read_side : (string * string) option;  (** 'soc -> (node, port) *)

@@ -17,11 +17,7 @@ type breakdown = {
 val total : breakdown -> float
 
 val scala_time : dsl_lines:int -> float
-val hls_time_per_kernel : complexity:int -> float
 val project_gen_time : cells:int -> float
-val synthesis_time : luts:int -> float
-val implementation_time : luts:int -> float
-val bitgen_time : float
 
 type kernel_cost = { kname : string; complexity : int; reused : bool }
 (** One kernel's contribution to the HLS phase; [reused] marks accelerators

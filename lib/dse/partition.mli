@@ -16,7 +16,6 @@ type t = { gray : bool; hist : bool; otsu : bool; seg : bool }
 val all_sw : t
 val in_hw : t -> stage -> bool
 val with_stage : t -> stage -> bool -> t
-val hw_stages : t -> stage list
 val is_all_sw : t -> bool
 
 val signature : t -> string
@@ -32,12 +31,6 @@ val arch1 : t
 val arch2 : t
 val arch3 : t
 val arch4 : t
-
-val data_edges : (stage * string * stage * string * stage list) list
-(** src stage/port, dst stage/port, stages strictly between them (all must
-    be hardware for a direct link). *)
-
-val direct_link : t -> stage * string * stage * string * stage list -> bool
 
 val spec_of : t -> Soc_core.Spec.t
 (** Validated except for the all-software partition (empty system). *)

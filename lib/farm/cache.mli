@@ -82,8 +82,6 @@ type tape_stats = {
   tape_stores : int;  (** tapes compiled and stored this run *)
 }
 
-val find_tape : t -> key:string -> Soc_rtl_compile.Tape.t option
-val store_tape : t -> key:string -> Soc_rtl_compile.Tape.t -> unit
 val tape_stats : t -> tape_stats
 
 val enable_tape_cache : t -> unit

@@ -77,8 +77,5 @@ val manifest_json : report -> string
     builds — written by [socdsl farm --manifest] so a resumed run can be
     byte-compared against a clean one. *)
 
-val summary_table : report -> Soc_util.Table.t
-(** Per-architecture outcome table. *)
-
 val render_report : report -> string
 (** Summary + counters + cache line, for CLI / bench output. *)

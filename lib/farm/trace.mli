@@ -38,9 +38,6 @@ val spans : t -> span list
 val counters : t -> (string * int) list
 (** Sorted by name. *)
 
-val phase_seconds : t -> (string * float) list
-(** Total span wall-clock per category, sorted by name. *)
-
 val to_chrome_json : t -> string
 val save : t -> string -> unit
 

@@ -42,8 +42,6 @@ type fault = {
 val permanent : int
 (** Duration marking a permanent fault (never self-heals). *)
 
-val pp_target : Format.formatter -> target -> unit
-val pp_fault : Format.formatter -> fault -> unit
 val fault_to_string : fault -> string
 
 (** {2 Structured fault/recovery event log} *)
@@ -58,8 +56,6 @@ type event =
   | Fell_back of { cycle : int; task : string }
   | Recovered of { cycle : int; task : string; attempts : int }
   | Unrecovered of { cycle : int; task : string }
-
-val pp_event : Format.formatter -> event -> unit
 
 (** {2 Plans} *)
 
@@ -166,8 +162,6 @@ module Service : sig
     | Batch  (** stepped at each [Farm.build_batch] entry, label = design names *)
     | Worker  (** stepped by each serve worker between jobs *)
 
-  val point_name : point -> string
-
   type behaviour =
     | Raise of string  (** raise {!Injected} with this message *)
     | Hang of float  (** sleep up to this many seconds (releasable) *)
@@ -248,8 +242,6 @@ module Net : sig
         (** write only this fraction of the frame, then half-close the
             socket so the peer sees a torn frame *)
     | Drip of float  (** write byte-by-byte chunks with this delay between *)
-
-  val action_name : action -> string
 
   val arm :
     ?seed:int ->

@@ -1,8 +1,8 @@
 (** Entry point of the HLS substrate: the role Vivado HLS plays in the
     paper's flow. [synthesize] takes a kernel (the "synthesizable C") and
     produces the accelerator: RTL netlist, resource report and static
-    performance estimates. The Verilog text and the directives file are
-    renderings computed on demand, never part of the result. *)
+    performance estimates. The directives file is a rendering computed on
+    demand, never part of the result. *)
 
 type config = {
   strategy : Schedule.strategy;

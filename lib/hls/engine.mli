@@ -1,8 +1,7 @@
 (** Entry point of the HLS substrate — the role Vivado HLS plays in the
     paper's flow: kernel in, accelerator out (RTL netlist, resource report,
-    static performance estimates). Renderings of the result — Verilog text
-    ({!Soc_rtl.Verilog.emit}) and the interface directives
-    ({!directives_of_kernel}) — are pure functions, computed on demand. *)
+    static performance estimates). The interface directives
+    ({!directives_of_kernel}) are a pure rendering, computed on demand. *)
 
 type config = {
   strategy : Schedule.strategy;

@@ -11,8 +11,6 @@ type fu_class =
   | Stream_unit  (** at most one stream transfer per control step *)
   | None_  (** moves and unary ops: pure wiring, no FU *)
 
-val is_mul : Soc_kernel.Ast.binop -> bool
-val is_div : Soc_kernel.Ast.binop -> bool
 val classify : Soc_kernel.Cfg.instr -> fu_class
 val latency : Soc_kernel.Cfg.instr -> int
 

@@ -24,7 +24,5 @@ type report = {
 
 exception Irreducible of string
 
-val block_states : Schedule.t -> int -> int
 val analyze : Schedule.t -> report
-val pp_bound : Format.formatter -> bound -> unit
 val pp : Format.formatter -> report -> unit

@@ -27,9 +27,6 @@ val finish : Dfg.t -> int array -> int -> int
 
 val makespan : Dfg.t -> int array -> int
 
-val asap_block : Dfg.t -> block_schedule
-val list_schedule_block : resources:resources -> Dfg.t -> block_schedule
-
 val capacity : resources -> Oplib.fu_class -> int
 
 type strategy = Asap | List_scheduling

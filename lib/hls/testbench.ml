@@ -16,7 +16,10 @@ type result = {
 
 exception Timeout of string
 
-let run ?(max_cycles = 5_000_000) ?(scalars = []) ?(streams = []) (accel : Fsmd.t) : result =
+(* Cycle budget before a run counts as hung. *)
+let max_cycles = 5_000_000
+
+let run ?(scalars = []) ?(streams = []) (accel : Fsmd.t) : result =
   let sim = Sim.create accel.netlist in
   let in_queues =
     List.map

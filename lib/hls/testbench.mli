@@ -9,9 +9,9 @@ type result = {
 }
 
 exception Timeout of string
+(** The accelerator did not assert [ap_done] within 5M cycles. *)
 
 val run :
-  ?max_cycles:int ->
   ?scalars:(string * int) list ->
   ?streams:(string * int list) list ->
   Fsmd.t ->

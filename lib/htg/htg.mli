@@ -6,8 +6,6 @@
 
 type mapping = Hw | Sw
 
-val pp_mapping : Format.formatter -> mapping -> unit
-
 (** A dataflow actor inside a phase; [inputs]/[outputs] carry the tokens
     consumed/produced per firing on each named stream port. *)
 type actor = {
@@ -61,7 +59,6 @@ val sources : t -> node list
 val sinks : t -> node list
 val hw_nodes : t -> node list
 val sw_nodes : t -> node list
-val actor_of : dataflow -> string -> actor option
 
 val dataflow_inputs : dataflow -> (string * string) list
 (** Actor input ports not driven by any internal link: the phase's boundary

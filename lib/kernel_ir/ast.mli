@@ -91,7 +91,6 @@ module Build : sig
 end
 
 val binop_symbol : binop -> string
-val expr_to_string : expr -> string
 
 val to_c : kernel -> string
 (** Pseudo-C rendering: the "synthesizable source" artifact of the flow. *)

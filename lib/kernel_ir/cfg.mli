@@ -51,7 +51,4 @@ val all_regs : t -> string list
 
 val instr_count : t -> int
 
-val operand_to_string : operand -> string
-val instr_to_string : instr -> string
-val term_to_string : terminator -> string
 val to_string : t -> string

@@ -22,8 +22,6 @@ type stats = {
   mutable steps : int;
 }
 
-val fresh_stats : unit -> stats
-
 val total_ops : stats -> int
 (** Dynamic operation count, the basis of the GPP time model. *)
 
@@ -50,7 +48,6 @@ module Channels : sig
   type t
 
   val create : unit -> t
-  val supply : t -> string -> int list -> unit
   val drain : t -> string -> int list
   val length : t -> string -> int
   val io : t -> io
@@ -64,8 +61,6 @@ type result = {
 
 exception Stuck of string
 (** Raised by [run] on an empty input channel or fuel exhaustion. *)
-
-val default_fuel : int
 
 val run :
   ?fuel:int ->

@@ -7,9 +7,6 @@
     Every pass preserves interpreter semantics exactly (qcheck-verified,
     including through HLS to RTL). *)
 
-val fold_instr : Cfg.instr -> Cfg.instr
-(** One instruction's constant folding / algebraic simplification. *)
-
 type stats = { before : int; after : int }
 
 val run : Cfg.t -> stats

@@ -24,8 +24,10 @@ type rtl_engine = { fsmd : Fsmd.t; sim : Sim.t }
 type behavioral_engine = {
   cfg : Soc_kernel.Cfg.t;
   mutable inst : Soc_kernel.Interp.state option;
-  max_ops_per_cycle : int;
 }
+
+(* Interpreter steps a behavioural instance may take in one cycle. *)
+let max_ops_per_cycle = 100_000
 
 type engine = Rtl of rtl_engine | Behavioral of behavioral_engine
 
@@ -74,17 +76,16 @@ let make_common ~name ~engine ~regfile ~scalar_in_ports ~scalar_out_ports
     corrupt_mask = None;
   }
 
-let create ?backend ~name ~(fsmd : Fsmd.t) ~regfile () =
+let create ~name ~(fsmd : Fsmd.t) ~regfile =
   make_common ~name
-    ~engine:(Rtl { fsmd; sim = Sim.create ?backend fsmd.netlist })
+    ~engine:(Rtl { fsmd; sim = Sim.create fsmd.netlist })
     ~regfile
     ~scalar_in_ports:(List.map fst fsmd.scalar_in)
     ~scalar_out_ports:(List.map fst fsmd.scalar_out)
     ~stream_in_ports:(List.map fst fsmd.stream_in)
     ~stream_out_ports:(List.map fst fsmd.stream_out)
 
-let create_behavioral ?(max_ops_per_cycle = 100_000) ~name
-    ~(kernel : Soc_kernel.Ast.kernel) ~regfile () =
+let create_behavioral ~name ~(kernel : Soc_kernel.Ast.kernel) ~regfile =
   let cfg = Soc_kernel.Cfg.of_kernel kernel in
   let scalar name_dir =
     List.filter_map
@@ -101,7 +102,7 @@ let create_behavioral ?(max_ops_per_cycle = 100_000) ~name
       kernel.Soc_kernel.Ast.ports
   in
   make_common ~name
-    ~engine:(Behavioral { cfg; inst = None; max_ops_per_cycle })
+    ~engine:(Behavioral { cfg; inst = None })
     ~regfile
     ~scalar_in_ports:(scalar Soc_kernel.Ast.In)
     ~scalar_out_ports:(scalar Soc_kernel.Ast.Out)
@@ -261,7 +262,7 @@ let step_behavioral t (b : behavioral_engine) =
     let stream_ops () =
       stats.Soc_kernel.Interp.stream_reads + stats.Soc_kernel.Interp.stream_writes
     in
-    let budget = ref b.max_ops_per_cycle in
+    let budget = ref max_ops_per_cycle in
     let stop = ref false in
     while not !stop do
       let before = stream_ops () in

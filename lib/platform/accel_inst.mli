@@ -12,24 +12,12 @@
 
 type t
 
-val create :
-  ?backend:Soc_rtl_compile.Engine.backend ->
-  name:string ->
-  fsmd:Soc_hls.Fsmd.t ->
-  regfile:Soc_axi.Lite.regfile ->
-  unit ->
-  t
-(** RTL-level instance. [backend] picks the netlist simulator (compiled
-    tape executor by default; the interpreter via [Interp]) — see
-    {!Soc_rtl_compile.Engine}. *)
+val create : name:string -> fsmd:Soc_hls.Fsmd.t -> regfile:Soc_axi.Lite.regfile -> t
+(** RTL-level instance, simulated by {!Soc_rtl_compile.Engine}'s default
+    backend. *)
 
 val create_behavioral :
-  ?max_ops_per_cycle:int ->
-  name:string ->
-  kernel:Soc_kernel.Ast.kernel ->
-  regfile:Soc_axi.Lite.regfile ->
-  unit ->
-  t
+  name:string -> kernel:Soc_kernel.Ast.kernel -> regfile:Soc_axi.Lite.regfile -> t
 (** Behavioural instance straight from the kernel (no HLS needed). *)
 
 val regfile : t -> Soc_axi.Lite.regfile

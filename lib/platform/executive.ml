@@ -400,13 +400,11 @@ let pp_report fmt r =
 (* The recovery ladder. Run [run] as one hardware attempt under a watchdog;
    on any detected failure (watchdog expiry, fabric deadlock, bus error,
    DMA transfer error, failed verification) soft-reset the fabric and retry
-   after an exponentially growing backoff; after [max_attempts] hardware
-   attempts, re-dispatch to the GPP via [fallback], or raise
-   {!Unrecoverable} when no fallback exists. *)
-let run_task_resilient ?max_attempts ?backoff ?timeout ?verify ?fallback t ~task run =
+   after an exponentially growing backoff; after the config's
+   [max_attempts] hardware attempts, re-dispatch to the GPP via
+   [fallback], or raise {!Unrecoverable} when no fallback exists. *)
+let run_task_resilient ?timeout ?verify ?fallback t ~task run =
   let cfg = config t in
-  let max_attempts = Option.value max_attempts ~default:cfg.Config.max_attempts in
-  let backoff = Option.value backoff ~default:cfg.Config.retry_backoff_cycles in
   let timeout = Option.value timeout ~default:cfg.Config.watchdog_cycles in
   let log e = match t.plan with Some p -> Fault.record p e | None -> () in
   let bump key =
@@ -455,8 +453,8 @@ let run_task_resilient ?max_attempts ?backoff ?timeout ?verify ?fallback t ~task
       bump "detected";
       log (Fault.Detected { cycle = t.timeline.total; unit_ = task; what = cause });
       soft_reset_all t;
-      if i < max_attempts then begin
-        let pause = backoff * (1 lsl (i - 1)) in
+      if i < cfg.Config.max_attempts then begin
+        let pause = cfg.Config.retry_backoff_cycles * (1 lsl (i - 1)) in
         bump "retried";
         log (Fault.Retried { cycle = t.timeline.total; task; attempt = i + 1; backoff = pause });
         advance_gpp t pause;

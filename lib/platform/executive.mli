@@ -132,8 +132,6 @@ type report = {
 val pp_report : Format.formatter -> report -> unit
 
 val run_task_resilient :
-  ?max_attempts:int ->
-  ?backoff:int ->
   ?timeout:int ->
   ?verify:(unit -> bool) ->
   ?fallback:(unit -> unit) ->
@@ -145,7 +143,8 @@ val run_task_resilient :
     a watchdog of [timeout] cycles (default [Config.watchdog_cycles]); on
     watchdog expiry, deadlock, bus error, DMA transfer error or failed
     [verify], the fabric is soft-reset and the task retried after an
-    exponential backoff ([backoff] * 2^(attempt-1), charged as GPP time),
-    up to [max_attempts] hardware attempts. When all fail, [fallback] is
-    invoked (graceful degradation to the GPP) if given, otherwise
-    {!Unrecoverable} is raised with the attempt history. *)
+    exponential backoff ([Config.retry_backoff_cycles] * 2^(attempt-1),
+    charged as GPP time), up to [Config.max_attempts] hardware attempts.
+    When all fail, [fallback] is invoked (graceful degradation to the
+    GPP) if given, otherwise {!Unrecoverable} is raised with the attempt
+    history. *)

@@ -24,10 +24,10 @@ let create ?(config = Config.zedboard) ?(dram_words = 1 lsl 22) () =
     s2mm = [];
   }
 
-let add_accel ?backend t ~name (fsmd : Soc_hls.Fsmd.t) =
+let add_accel t ~name (fsmd : Soc_hls.Fsmd.t) =
   if List.mem_assoc name t.accels then invalid_arg ("System.add_accel: duplicate " ^ name);
   let regfile = Soc_axi.Lite.attach t.ic ~owner:name ~size:0x1_0000 in
-  let inst = Accel_inst.create ?backend ~name ~fsmd ~regfile () in
+  let inst = Accel_inst.create ~name ~fsmd ~regfile in
   t.accels <- t.accels @ [ (name, inst) ];
   inst
 
@@ -36,7 +36,7 @@ let add_accel_behavioral t ~name (kernel : Soc_kernel.Ast.kernel) =
   if List.mem_assoc name t.accels then
     invalid_arg ("System.add_accel_behavioral: duplicate " ^ name);
   let regfile = Soc_axi.Lite.attach t.ic ~owner:name ~size:0x1_0000 in
-  let inst = Accel_inst.create_behavioral ~name ~kernel ~regfile () in
+  let inst = Accel_inst.create_behavioral ~name ~kernel ~regfile in
   t.accels <- t.accels @ [ (name, inst) ];
   inst
 
@@ -45,34 +45,33 @@ let accel t name =
   | Some a -> a
   | None -> invalid_arg ("System.accel: unknown accelerator " ^ name)
 
-let new_fifo t ~name ?capacity () =
-  let capacity = Option.value ~default:t.config.Config.default_fifo_depth capacity in
-  let f = Soc_axi.Fifo.create ~name ~capacity in
+let new_fifo t ~name =
+  let f = Soc_axi.Fifo.create ~name ~capacity:t.config.Config.default_fifo_depth in
   t.fifos <- f :: t.fifos;
   f
 
 (* Direct accelerator-to-accelerator stream link (an internal edge of a
    dataflow phase). *)
-let link_stream t ?capacity ~src:(src_accel, src_port) ~dst:(dst_accel, dst_port) () =
+let link_stream t ~src:(src_accel, src_port) ~dst:(dst_accel, dst_port) =
   let name = Printf.sprintf "%s.%s->%s.%s" src_accel src_port dst_accel dst_port in
-  let f = new_fifo t ~name ?capacity () in
+  let f = new_fifo t ~name in
   Accel_inst.bind_output (accel t src_accel) ~port:src_port f;
   Accel_inst.bind_input (accel t dst_accel) ~port:dst_port f;
   f
 
 (* DMA read channel feeding an accelerator input ('soc -> node). *)
-let add_mm2s t ?capacity ~dst:(dst_accel, dst_port) () =
+let add_mm2s t ~dst:(dst_accel, dst_port) =
   let name = Printf.sprintf "dma_mm2s->%s.%s" dst_accel dst_port in
-  let f = new_fifo t ~name ?capacity () in
+  let f = new_fifo t ~name in
   Accel_inst.bind_input (accel t dst_accel) ~port:dst_port f;
   let dma = Soc_axi.Dma.create_mm2s ~name ~dram:t.dram ~dest:f in
   t.mm2s <- (name, dma) :: t.mm2s;
   (name, dma)
 
 (* DMA write channel draining an accelerator output (node -> 'soc). *)
-let add_s2mm t ?capacity ~src:(src_accel, src_port) () =
+let add_s2mm t ~src:(src_accel, src_port) =
   let name = Printf.sprintf "%s.%s->dma_s2mm" src_accel src_port in
-  let f = new_fifo t ~name ?capacity () in
+  let f = new_fifo t ~name in
   Accel_inst.bind_output (accel t src_accel) ~port:src_port f;
   let dma = Soc_axi.Dma.create_s2mm ~name ~dram:t.dram ~src:f in
   t.s2mm <- (name, dma) :: t.s2mm;

@@ -14,16 +14,10 @@ type t = {
 
 val create : ?config:Config.t -> ?dram_words:int -> unit -> t
 
-val add_accel :
-  ?backend:Soc_rtl_compile.Engine.backend ->
-  t ->
-  name:string ->
-  Soc_hls.Fsmd.t ->
-  Accel_inst.t
+val add_accel : t -> name:string -> Soc_hls.Fsmd.t -> Accel_inst.t
 (** Instantiate an accelerator and attach its register file to the bus.
-    [backend] picks the netlist simulator for the RTL instance (compiled
-    tape executor by default). Raises [Invalid_argument] on duplicate
-    names. *)
+    The RTL instance runs on {!Soc_rtl_compile.Engine}'s default backend.
+    Raises [Invalid_argument] on duplicate names. *)
 
 val add_accel_behavioral : t -> name:string -> Soc_kernel.Ast.kernel -> Accel_inst.t
 (** Behavioural (interpreter-level) instance of the kernel itself — fast
@@ -31,24 +25,17 @@ val add_accel_behavioral : t -> name:string -> Soc_kernel.Ast.kernel -> Accel_in
 
 val accel : t -> string -> Accel_inst.t
 
-val new_fifo : t -> name:string -> ?capacity:int -> unit -> Soc_axi.Fifo.t
-(** Capacity defaults to the platform's [default_fifo_depth]. *)
+val new_fifo : t -> name:string -> Soc_axi.Fifo.t
+(** A FIFO of the platform's [default_fifo_depth]; every stream FIFO
+    below is one. *)
 
-val link_stream :
-  t ->
-  ?capacity:int ->
-  src:string * string ->
-  dst:string * string ->
-  unit ->
-  Soc_axi.Fifo.t
+val link_stream : t -> src:string * string -> dst:string * string -> Soc_axi.Fifo.t
 (** Direct accelerator-to-accelerator stream link. *)
 
-val add_mm2s :
-  t -> ?capacity:int -> dst:string * string -> unit -> string * Soc_axi.Dma.mm2s
+val add_mm2s : t -> dst:string * string -> string * Soc_axi.Dma.mm2s
 (** DMA read channel feeding an accelerator input; returns its name. *)
 
-val add_s2mm :
-  t -> ?capacity:int -> src:string * string -> unit -> string * Soc_axi.Dma.s2mm
+val add_s2mm : t -> src:string * string -> string * Soc_axi.Dma.s2mm
 
 val validate : t -> Soc_util.Diag.t list
 (** Static design-rule check; empty means clean. Reports unbound stream

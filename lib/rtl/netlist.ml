@@ -3,8 +3,8 @@
     A module is a set of typed signals connected by continuous (combinational)
     assignments, D flip-flops with clock-enable, and synchronous-read block
     memories — the primitives an FPGA synthesis flow maps to LUTs, FFs and
-    BRAMs. HLS emits this IR; {!Sim} executes it cycle by cycle; {!Verilog}
-    prints it.
+    BRAMs. HLS emits this IR; {!Sim} executes it cycle by cycle;
+    {!Netlist_reader} reads its [.ntl] text form.
 
     Operator semantics are shared with the kernel interpreter through
     {!Soc_kernel.Semantics}, so differential testing of interpreter vs. RTL

@@ -1,8 +1,9 @@
 (** Register-transfer-level netlist IR: typed signals connected by
     continuous assignments, D flip-flops with clock-enable, and
     synchronous-read block memories — the primitives an FPGA flow maps to
-    LUTs, FFs and BRAMs. HLS emits this IR; {!Sim} executes it; {!Verilog}
-    prints it. Operator semantics come from {!Soc_kernel.Semantics}. *)
+    LUTs, FFs and BRAMs. HLS emits this IR; {!Sim} executes it;
+    {!Netlist_reader} reads its [.ntl] text form. Operator semantics come
+    from {!Soc_kernel.Semantics}. *)
 
 type signal = { sid : int; sname : string; width : int }
 

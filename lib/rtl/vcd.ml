@@ -24,15 +24,12 @@ let id_of_index idx =
   in
   go idx ""
 
-let create_with ?(signals = []) (net : Netlist.t) ~read =
+let create_with (net : Netlist.t) ~read =
+  (* The probe set: ports and registers (not every internal wire). *)
   let chosen =
-    match signals with
-    | [] ->
-      (* Default probe set: ports and registers (not every internal wire). *)
-      List.rev net.Netlist.inputs
-      @ List.rev net.Netlist.outputs
-      @ List.rev_map (fun (r : Netlist.reg) -> r.Netlist.q) net.Netlist.regs
-    | s -> s
+    List.rev net.Netlist.inputs
+    @ List.rev net.Netlist.outputs
+    @ List.rev_map (fun (r : Netlist.reg) -> r.Netlist.q) net.Netlist.regs
   in
   {
     read;
@@ -52,17 +49,17 @@ let emit_header t =
   Buffer.add_string t.buf "$date reproducible $end\n";
   Buffer.add_string t.buf "$version soc-dsl-repro rtl simulator $end\n";
   Buffer.add_string t.buf "$timescale 10ns $end\n";
-  Buffer.add_string t.buf (Printf.sprintf "$scope module %s $end\n" (Verilog.sanitize t.module_name));
+  Buffer.add_string t.buf (Printf.sprintf "$scope module %s $end\n" (Soc_util.Ident.sanitize t.module_name));
   List.iter
     (fun p ->
       Buffer.add_string t.buf
         (Printf.sprintf "$var wire %d %s %s $end\n" p.signal.Netlist.width p.id
-           (Verilog.sanitize p.signal.Netlist.sname)))
+           (Soc_util.Ident.sanitize p.signal.Netlist.sname)))
     t.probes;
   Buffer.add_string t.buf "$upscope $end\n$enddefinitions $end\n";
   t.header_done <- true
 
-let create ?signals net sim = create_with ?signals net ~read:(Sim.value sim)
+let create net sim = create_with net ~read:(Sim.value sim)
 
 (* Record the current (settled) values; emits only changes. *)
 let sample t =

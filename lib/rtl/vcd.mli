@@ -4,10 +4,10 @@
 
 type t
 
-val create : ?signals:Netlist.signal list -> Netlist.t -> Sim.t -> t
-(** Default probe set: the module's ports and registers. *)
+val create : Netlist.t -> Sim.t -> t
+(** Probes the module's ports and registers. *)
 
-val create_with : ?signals:Netlist.signal list -> Netlist.t -> read:(Netlist.signal -> int) -> t
+val create_with : Netlist.t -> read:(Netlist.signal -> int) -> t
 (** Like [create] but sourcing values from an arbitrary reader — lets any
     backend that can evaluate a signal (e.g. the compiled tape executor)
     drive the same recorder. *)

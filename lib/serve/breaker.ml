@@ -7,7 +7,10 @@
    immediately instead of burning a worker on a build that is known to
    die. After [cooldown_ms] the breaker goes half-open and lets exactly
    one probe through: success closes it, failure reopens it with a fresh
-   cooldown.
+   cooldown. A probe can also be lost without a report: admission may
+   refuse it (queue full, draining) or its deadline may expire it in the
+   queue. A probe that has not reported within one cooldown therefore
+   counts as lost, and the next check hands out a new one.
 
    Success on any key resets its consecutive-failure count, so flaky
    (intermittent) specs never trip; only persistent poison does.
@@ -16,7 +19,7 @@
 type state =
   | Closed of int  (* consecutive failures so far *)
   | Open of float  (* opened_at, by [clock] *)
-  | Half_open  (* single probe in flight *)
+  | Half_open of float  (* single probe in flight, issued at, by [clock] *)
 
 type t = {
   clock : unit -> float;
@@ -44,16 +47,19 @@ let check t key =
   if t.threshold <= 0 then Admit
   else
     locked t (fun () ->
+        let now = t.clock () in
+        let probe () =
+          Hashtbl.replace t.tbl key (Half_open now);
+          Probe
+        in
         match Hashtbl.find_opt t.tbl key with
         | None | Some (Closed _) -> Admit
-        | Some Half_open -> Reject 0.0 (* a probe is already in flight *)
+        | Some (Half_open issued_at) ->
+          (* a probe is in flight, unless it is overdue and so lost *)
+          if now -. issued_at >= t.cooldown then probe () else Reject 0.0
         | Some (Open opened_at) ->
-          let elapsed = t.clock () -. opened_at in
-          if elapsed >= t.cooldown then begin
-            Hashtbl.replace t.tbl key Half_open;
-            Probe
-          end
-          else Reject (t.cooldown -. elapsed))
+          let elapsed = now -. opened_at in
+          if elapsed >= t.cooldown then probe () else Reject (t.cooldown -. elapsed))
 
 let record t key ~ok =
   if t.threshold > 0 then
@@ -62,7 +68,7 @@ let record t key ~ok =
         else
           match Hashtbl.find_opt t.tbl key with
           | Some (Open _) -> () (* already open; keep the original cooldown *)
-          | Some Half_open ->
+          | Some (Half_open _) ->
             (* failed probe: reopen with a fresh cooldown *)
             t.n_trips <- t.n_trips + 1;
             Hashtbl.replace t.tbl key (Open (t.clock ()))
@@ -79,7 +85,7 @@ let record t key ~ok =
 let open_keys t =
   locked t (fun () ->
       Hashtbl.fold
-        (fun _ st acc -> match st with Open _ | Half_open -> acc + 1 | Closed _ -> acc)
+        (fun _ st acc -> match st with Open _ | Half_open _ -> acc + 1 | Closed _ -> acc)
         t.tbl 0)
 
 let trips t = locked t (fun () -> t.n_trips)

@@ -5,7 +5,9 @@
     (verdict {!Reject}) instead of burning a worker on a build known to
     die. After [cooldown_ms] the breaker goes half-open and admits exactly
     one probe ({!Probe}); a successful probe closes the breaker, a failed
-    one reopens it with a fresh cooldown. Any success resets the key's
+    one reopens it with a fresh cooldown. A probe that reports nothing
+    within one cooldown (refused at admission, expired in the queue)
+    counts as lost, and the next check issues a new one. Any success resets the key's
     consecutive-failure count, so intermittent flakiness never trips —
     only persistent poison does. Thread-safe. *)
 
@@ -24,7 +26,7 @@ val check : t -> string -> verdict
 (** Consult (and possibly transition) the key's breaker at admission
     time. An open breaker whose cooldown has elapsed transitions to
     half-open and returns [Probe]; further checks while the probe is in
-    flight return [Reject 0.]. *)
+    flight return [Reject 0.], until one cooldown after it was issued. *)
 
 val record : t -> string -> ok:bool -> unit
 (** Report the outcome of a build of [key]. *)

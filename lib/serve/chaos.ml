@@ -116,7 +116,7 @@ let run (cfg : config) : report =
     { Server.default_config with
       workers = cfg.workers; kernels = cfg.kernels; cache_dir = cfg.cache_dir;
       breaker_threshold = 2; breaker_cooldown_ms = 60_000;
-      build_timeout_ms = Some 5000; watchdog_grace_ms = 100;
+      build_timeout_ms = Some 5000;
       max_sessions = 32; idle_session_timeout_ms = Some idle_ms }
   in
   Fault.Service.reset ();

@@ -3,20 +3,20 @@
 
 exception Error of string
 
-type t = { fd : Unix.file_descr; max_frame : int }
+type t = { fd : Unix.file_descr }
 
-let connect ?(host = "127.0.0.1") ?(max_frame = Protocol.max_frame_default) ~port () =
+let connect ?(host = "127.0.0.1") ~port () =
   match Listener.connect ~host ~port with
-  | Ok fd -> { fd; max_frame }
+  | Ok fd -> { fd }
   | Error msg -> raise (Error msg)
 
 let close t = try Unix.close t.fd with Unix.Unix_error _ -> ()
 
 let rpc t req =
-  (try Protocol.send ~max_len:t.max_frame t.fd (Protocol.encode_request req)
+  (try Protocol.send t.fd (Protocol.encode_request req)
    with Unix.Unix_error (err, _, _) ->
      raise (Error ("send: " ^ Unix.error_message err)));
-  match Protocol.recv ~max_len:t.max_frame t.fd with
+  match Protocol.recv t.fd with
   | exception Protocol.Framing_error msg -> raise (Error ("framing: " ^ msg))
   | exception Protocol.Parse_error msg -> raise (Error ("malformed response: " ^ msg))
   | exception Unix.Unix_error (err, _, _) -> raise (Error ("recv: " ^ Unix.error_message err))
@@ -50,11 +50,11 @@ let explore t ?(on_update = fun _ -> ()) (req : Protocol.request) =
   (match req with
   | Protocol.Explore _ -> ()
   | _ -> invalid_arg "Client.explore: not an explore request");
-  (try Protocol.send ~max_len:t.max_frame t.fd (Protocol.encode_request req)
+  (try Protocol.send t.fd (Protocol.encode_request req)
    with Unix.Unix_error (err, _, _) ->
      raise (Error ("send: " ^ Unix.error_message err)));
   let rec next () =
-    match Protocol.recv ~max_len:t.max_frame t.fd with
+    match Protocol.recv t.fd with
     | exception Protocol.Framing_error msg -> raise (Error ("framing: " ^ msg))
     | exception Protocol.Parse_error msg -> raise (Error ("malformed response: " ^ msg))
     | exception Unix.Unix_error (err, _, _) ->
@@ -71,7 +71,7 @@ let explore t ?(on_update = fun _ -> ()) (req : Protocol.request) =
   next ()
 
 (* Submit and block until terminal; the common client-CLI path. *)
-let submit_and_wait t ?priority ?deadline_ms source =
-  match submit t ?priority ?deadline_ms source with
+let submit_and_wait t ?deadline_ms source =
+  match submit t ?deadline_ms source with
   | Protocol.Accepted { id; _ } as acc -> (acc, Some (result t id))
   | other -> (other, None)

@@ -10,8 +10,9 @@ exception Error of string
 
 type t
 
-val connect : ?host:string -> ?max_frame:int -> port:int -> unit -> t
-(** Defaults: host 127.0.0.1, {!Protocol.max_frame_default}. *)
+val connect : ?host:string -> port:int -> unit -> t
+(** Default host 127.0.0.1; frames are bounded by the protocol's 16 MiB
+    limit. *)
 
 val close : t -> unit
 
@@ -40,6 +41,6 @@ val explore :
     request. *)
 
 val submit_and_wait :
-  t -> ?priority:int -> ?deadline_ms:int -> string ->
-  Protocol.response * Protocol.response option
-(** The submit response, and when accepted, the blocking result. *)
+  t -> ?deadline_ms:int -> string -> Protocol.response * Protocol.response option
+(** The submit response (at priority 0), and when accepted, the blocking
+    result. *)

@@ -40,7 +40,6 @@ module Farm = Soc_farm.Farm
 type config = {
   endpoints : (string * int) list;  (** (host, port); labelled w0, w1, … *)
   clock : unit -> float;
-  max_frame : int;
   heartbeat_interval_ms : int;
   rpc_timeout_ms : int;  (** per-attempt budget: connect + handshake + build *)
   retries : int;  (** extra attempts after the first, all workers errored *)
@@ -50,8 +49,7 @@ type config = {
 }
 
 let default_config =
-  { endpoints = []; clock = Unix.gettimeofday;
-    max_frame = Protocol.max_frame_default; heartbeat_interval_ms = 250;
+  { endpoints = []; clock = Unix.gettimeofday; heartbeat_interval_ms = 250;
     rpc_timeout_ms = 60_000; retries = 3; retry_base_ms = 50; hedge_after_ms = None }
 
 (* Consecutive missed beats before a worker is down. *)
@@ -188,7 +186,7 @@ let connect (w : wrec) = Listener.connect ~host:w.whost ~port:w.wport
    after the header), where retrying the parse from scratch would
    desynchronise the stream — there we give the whole attempt up
    instead. *)
-let read_response fd ~give_up ~slice ~deadline ~max_len =
+let read_response fd ~give_up ~slice ~deadline =
   let rec wait_readable () =
     if give_up () then Error "abandoned"
     else if Unix.gettimeofday () > deadline then Error "attempt timed out"
@@ -196,7 +194,7 @@ let read_response fd ~give_up ~slice ~deadline ~max_len =
       match Unix.select [ fd ] [] [] (slice ()) with
       | [], _, _ -> wait_readable ()
       | _ -> (
-        match Protocol.recv_checked ~max_len fd with
+        match Protocol.recv_checked fd with
         | Ok (Some j) -> Ok j
         | Ok None -> Error "worker closed the connection"
         | Error e -> Error (Protocol.read_error_to_string e)
@@ -213,7 +211,6 @@ let read_response fd ~give_up ~slice ~deadline ~max_len =
    work worth cancelling. Returns [Ok] for the worker's authoritative
    answer (either way) and [Error] for infrastructure trouble. *)
 let attempt t (w : wrec) ~source ~key ~deadline_ms ~give_up ~slice ~sent_build =
-  let max_len = t.cfg.max_frame in
   let deadline = Unix.gettimeofday () +. (float_of_int t.cfg.rpc_timeout_ms /. 1000.0) in
   match connect w with
   | Error _ as e -> e
@@ -223,7 +220,7 @@ let attempt t (w : wrec) ~source ~key ~deadline_ms ~give_up ~slice ~sent_build =
      with Unix.Unix_error _ | Invalid_argument _ -> ());
     let ( let* ) = Result.bind in
     let send_req r =
-      match Protocol.send ~link:w.link ~max_len fd (Protocol.encode_request r) with
+      match Protocol.send ~link:w.link fd (Protocol.encode_request r) with
       | () -> Ok ()
       | exception Unix.Unix_error (e, _, _) -> Error ("send: " ^ Unix.error_message e)
       | exception Protocol.Framing_error m -> Error m
@@ -233,7 +230,7 @@ let attempt t (w : wrec) ~source ~key ~deadline_ms ~give_up ~slice ~sent_build =
         (Protocol.Hello { version = Protocol.protocol_version; peer = "coordinator" })
     in
     let rec handshake () =
-      let* j = read_response fd ~give_up ~slice ~deadline ~max_len in
+      let* j = read_response fd ~give_up ~slice ~deadline in
       match Protocol.decode_response j with
       | Ok (Protocol.Hello_r _) -> Ok ()
       | Ok (Protocol.Rejected { reason = Protocol.Version_skew; detail; _ }) ->
@@ -245,7 +242,7 @@ let attempt t (w : wrec) ~source ~key ~deadline_ms ~give_up ~slice ~sent_build =
     let* () = send_req (Protocol.Build { source; key; deadline_ms }) in
     sent_build := true;
     let rec await () =
-      let* j = read_response fd ~give_up ~slice ~deadline ~max_len in
+      let* j = read_response fd ~give_up ~slice ~deadline in
       match Protocol.decode_response j with
       | Ok (Protocol.Built_r { key = k; state; design; digest; manifest; wall_ms })
         when k = key -> (
@@ -272,9 +269,9 @@ let send_cancel t (w : wrec) ~key =
            Fun.protect ~finally:(fun () -> close_quietly fd) @@ fun () ->
            (try
               Unix.setsockopt_float fd Unix.SO_RCVTIMEO 1.0;
-              Protocol.send ~link:w.link ~max_len:t.cfg.max_frame fd
+              Protocol.send ~link:w.link fd
                 (Protocol.encode_request (Protocol.Cancel { key }));
-              ignore (Protocol.recv_checked ~max_len:t.cfg.max_frame fd)
+              ignore (Protocol.recv_checked fd)
             with
            | Unix.Unix_error _ | Protocol.Framing_error _ | Invalid_argument _
            | Sys_error _ -> ()))
@@ -458,7 +455,6 @@ let build t ~source ~key ?deadline_ms () : (outcome, string) result =
    frame — is one miss; the connection is dropped so the next beat
    starts clean (no mid-frame desync to worry about). *)
 let hb_once t (w : wrec) =
-  let max_len = t.cfg.max_frame in
   let read_timeout =
     Float.max 0.05 (float_of_int t.cfg.heartbeat_interval_ms /. 1000.0)
   in
@@ -483,11 +479,11 @@ let hb_once t (w : wrec) =
       false
     in
     try
-      Protocol.send ~link:w.link ~max_len fd (Protocol.encode_request Protocol.Heartbeat);
+      Protocol.send ~link:w.link fd (Protocol.encode_request Protocol.Heartbeat);
       let rec read_reply budget =
         if budget <= 0 then drop ()
         else
-          match Protocol.recv_checked ~max_len fd with
+          match Protocol.recv_checked fd with
           | Ok (Some j) -> (
             match Protocol.decode_response j with
             | Ok (Protocol.Heartbeat_r _) -> true

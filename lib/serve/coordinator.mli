@@ -25,7 +25,6 @@
 type config = {
   endpoints : (string * int) list;  (** (host, port); labelled w0, w1, … *)
   clock : unit -> float;
-  max_frame : int;
   heartbeat_interval_ms : int;
   rpc_timeout_ms : int;  (** per-attempt budget: connect + handshake + build *)
   retries : int;  (** extra attempts after the first, all workers errored *)

@@ -64,9 +64,9 @@ let bind ~host ~port =
 
 (* One connection's frame loop. Any I/O or framing failure ends the
    session quietly — including the EAGAIN of an idle-timeout read. *)
-let session t ~reply ~max_frame handler s =
+let session t ~reply handler s =
   let rec loop () =
-    match Protocol.recv_checked ~max_len:max_frame s.fd with
+    match Protocol.recv_checked s.fd with
     | Ok None | Error (Protocol.Torn _) -> ()
     | Ok (Some j) ->
       (match Protocol.decode_request j with
@@ -129,15 +129,15 @@ let rec accept_loop t ~admit =
       accept_loop t ~admit
     end
 
-let serve ?link ?(max_sessions = max_int) ?idle_timeout_ms ~max_frame t handler =
-  let send fd v = Protocol.send ?link ~max_len:max_frame fd (Protocol.encode_response v) in
+let serve ?link ?(max_sessions = max_int) ?idle_timeout_ms t handler =
+  let send fd v = Protocol.send ?link fd (Protocol.encode_response v) in
   let spawn s =
     Option.iter
       (fun ms ->
         try Unix.setsockopt_float s.fd Unix.SO_RCVTIMEO (float_of_int ms /. 1000.0)
         with Unix.Unix_error _ | Invalid_argument _ -> ())
       idle_timeout_ms;
-    session t ~reply:(send s.fd) ~max_frame handler s
+    session t ~reply:(send s.fd) handler s
   in
   let admit = admit t ~max_sessions ~send spawn in
   t.accept_thread <- Some (Thread.create (fun () -> accept_loop t ~admit) ())

@@ -23,7 +23,6 @@ val serve :
   ?link:string ->
   ?max_sessions:int ->
   ?idle_timeout_ms:int ->
-  max_frame:int ->
   t ->
   (reply -> Protocol.request -> unit) ->
   unit
@@ -31,7 +30,8 @@ val serve :
     every reply is written on. Past [max_sessions] concurrent sessions
     (default: unbounded) a connection gets an [Error_r] and is closed;
     [idle_timeout_ms] (default: never) drops a session whose socket stays
-    silent that long. [max_frame] bounds frames in both directions. *)
+    silent that long. Frames in both directions are bounded by
+    the protocol's 16 MiB limit. *)
 
 val port : t -> int
 (** The bound port (the ephemeral one when bound to port 0). *)

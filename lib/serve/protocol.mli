@@ -31,17 +31,12 @@ val mem : string -> json -> json option
 (** {2 Framing} *)
 
 exception Framing_error of string
-
-val max_frame_default : int
-(** 16 MiB — the per-frame size limit both directions. *)
+(** Every frame reader and writer below bounds the payload by [max_len],
+    16 MiB by default. Daemons and clients use the default. *)
 
 val protocol_version : int
 (** The version this build speaks (2: hello/heartbeat/build/cancel;
     3: streaming explore). *)
-
-val min_protocol_version : int
-(** The oldest peer version a worker accepts in [Hello]; anything below
-    is rejected with [Version_skew]. *)
 
 type read_error =
   | Oversized of { announced : int; limit : int }
@@ -222,8 +217,8 @@ val decode_response : json -> (response, string) result
 val hello_reply : daemon:string -> worker_id:string -> int -> response
 (** The answer to [Hello] at the given peer version: [Hello_r] at the
     lower of the two versions, or a [Version_skew] rejection naming
-    [daemon] ("server", "worker") when the peer is below
-    {!min_protocol_version}. *)
+    [daemon] ("server", "worker") when the peer is below version 2, the
+    oldest a daemon accepts. *)
 
 val send : ?link:string -> ?max_len:int -> Unix.file_descr -> json -> unit
 val recv : ?max_len:int -> Unix.file_descr -> json option

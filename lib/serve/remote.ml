@@ -43,13 +43,12 @@ type config = {
   cache_dir : string option;
   cache_max_mb : int option;
   kernels : (string * Soc_kernel.Ast.kernel) list;
-  max_frame : int;
   worker_id : string;  (** label in hello replies and net-fault links *)
 }
 
 let default_config =
   { host = "127.0.0.1"; port = 0; cache_dir = None; cache_max_mb = None;
-    kernels = []; max_frame = Protocol.max_frame_default; worker_id = "worker" }
+    kernels = []; worker_id = "worker" }
 
 (* One in-flight build; owned by [t.lock]. The record outlives its
    registry entry: waiters hold the record and read [result] off it
@@ -177,7 +176,7 @@ let start (cfg : config) =
       cancel_hits = Atomic.make 0; lock = Mutex.create (); cond = Condition.create ();
       registry = Hashtbl.create 16 }
   in
-  Listener.serve ~link:t.link ~max_frame:cfg.max_frame t.listener (fun reply req ->
+  Listener.serve ~link:t.link t.listener (fun reply req ->
       reply (handle t req));
   t
 

@@ -22,13 +22,12 @@ type config = {
   cache_dir : string option;
   cache_max_mb : int option;
   kernels : (string * Soc_kernel.Ast.kernel) list;
-  max_frame : int;
   worker_id : string;  (** label in hello replies and net-fault links *)
 }
 
 val default_config : config
-(** 127.0.0.1, ephemeral port, no persistence, no kernels, 16 MiB
-    frames, worker id ["worker"]. *)
+(** 127.0.0.1, ephemeral port, no persistence, no kernels, worker id
+    ["worker"]. Frames are bounded by the protocol's 16 MiB limit. *)
 
 type t
 

@@ -44,13 +44,11 @@ type config = {
   cache_max_mb : int option;
   kill : Fault.crash_point option;
   kernels : (string * Soc_kernel.Ast.kernel) list;
-  max_frame : int;
   clock : unit -> float;
   (* supervision *)
   breaker_threshold : int;  (** consecutive failures to open a key; <= 0 disables *)
   breaker_cooldown_ms : int;
   build_timeout_ms : int option;  (** per-build wall cap, independent of deadlines *)
-  watchdog_grace_ms : int;  (** slack past deadline before the watchdog fires *)
   max_worker_restarts : int;  (** restart budget within [restart_window_ms] *)
   max_sessions : int;  (** concurrent connection cap *)
   idle_session_timeout_ms : int option;  (** drop sessions idle this long *)
@@ -65,10 +63,10 @@ type config = {
 let default_config =
   { host = "127.0.0.1"; port = 0; workers = 2; queue_cap = 64;
     default_deadline_ms = None; cache_dir = None; cache_max_mb = None;
-    kill = None; kernels = []; max_frame = Protocol.max_frame_default;
+    kill = None; kernels = [];
     clock = Unix.gettimeofday;
     breaker_threshold = 3; breaker_cooldown_ms = 30_000;
-    build_timeout_ms = None; watchdog_grace_ms = 100;
+    build_timeout_ms = None;
     max_worker_restarts = 8; max_sessions = 64; idle_session_timeout_ms = None;
     fleet = []; fleet_rpc_timeout_ms = 60_000 }
 
@@ -76,6 +74,9 @@ let default_config =
    the exponential backoff before each replacement. *)
 let restart_window_ms = 60_000
 let restart_backoff_ms = 10
+
+(* Slack past a build's limit before the watchdog fires, in seconds. *)
+let watchdog_grace = 0.1
 
 (* What a job carries; it yields a {!Coordinator.built}. [source] is the
    submitted DSL text verbatim: a remote worker must parse the *same
@@ -387,7 +388,6 @@ let replace_worker t =
    read from [cfg.clock] so the whole path is fake-clock testable. *)
 let watchdog_scan t =
   let now = t.cfg.clock () in
-  let grace = float_of_int t.cfg.watchdog_grace_ms /. 1000.0 in
   Mutex.lock t.lock;
   let wedged =
     List.filter_map
@@ -406,7 +406,7 @@ let watchdog_scan t =
             | None, None -> None
           in
           (match limit with
-          | Some l when now > l +. grace ->
+          | Some l when now > l +. watchdog_grace ->
             w.abandoned <- true;
             Some (w, job)
           | _ -> None)
@@ -686,7 +686,7 @@ let start (cfg : config) =
            Some
              (Coordinator.create
                 { Coordinator.default_config with
-                  endpoints = cfg.fleet; clock = cfg.clock; max_frame = cfg.max_frame;
+                  endpoints = cfg.fleet; clock = cfg.clock;
                   rpc_timeout_ms = cfg.fleet_rpc_timeout_ms }));
       remote_fallbacks = Atomic.make 0;
       startup_diags; lock = Mutex.create ();
@@ -701,7 +701,7 @@ let start (cfg : config) =
   List.iter (fun w -> spawn_worker t w) t.workers;
   t.monitor_thread <- Some (Thread.create (fun () -> supervise_loop t) ());
   Listener.serve ~max_sessions:cfg.max_sessions
-    ?idle_timeout_ms:cfg.idle_session_timeout_ms ~max_frame:cfg.max_frame listener
+    ?idle_timeout_ms:cfg.idle_session_timeout_ms listener
     (serve_request t);
   t
 

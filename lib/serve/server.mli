@@ -34,7 +34,6 @@ type config = {
       (** armed crash point, taken by exactly one build *)
   kernels : (string * Soc_kernel.Ast.kernel) list;
       (** the kernel library; filtered per spec like [socdsl farm] *)
-  max_frame : int;
   clock : unit -> float;  (** injectable for deterministic tests *)
   breaker_threshold : int;
       (** consecutive failures of one key to open its breaker; <= 0
@@ -43,7 +42,6 @@ type config = {
   build_timeout_ms : int option;
       (** per-build wall cap enforced by the watchdog, independent of
           request deadlines; [None] = no cap *)
-  watchdog_grace_ms : int;  (** slack past the limit before the watchdog fires *)
   max_worker_restarts : int;
       (** worker replacements allowed within a 60 s sliding window
           (each after a 10 ms-based exponential backoff) before the pool
@@ -63,8 +61,9 @@ type config = {
 val default_config : config
 (** 127.0.0.1, ephemeral port, 2 workers, queue cap 64, no deadline, no
     persistence, no kernels; breaker threshold 3 with 30 s cooldown, no
-    build timeout, 100 ms watchdog grace, 8 restarts / 60 s window,
-    64 sessions, no idle timeout; no fleet. *)
+    build timeout, 8 restarts / 60 s window, 64 sessions, no idle
+    timeout; no fleet. The watchdog's grace past a limit is a fixed
+    100 ms, and frames are bounded by the protocol's 16 MiB limit. *)
 
 type t
 

@@ -156,6 +156,9 @@ let finish_round st =
       failed = List.length st.failures;
       frontier = frontier_of (points_of st) }
 
+(* Population per round for the non-generational strategies. *)
+let chunk = 16
+
 let chunked n l =
   let rec go acc cur k = function
     | [] -> List.rev (if cur = [] then acc else List.rev cur :: acc)
@@ -164,8 +167,7 @@ let chunked n l =
   in
   go [] [] 0 l
 
-let run ?(on_round = fun _ -> ()) ?(chunk = 16) ~space ~eval strategy ~seed =
-  let chunk = max 1 chunk in
+let run ?(on_round = fun _ -> ()) ~space ~eval strategy ~seed =
   let st =
     { sspace = space; seval = eval; memo = Hashtbl.create 64; cands = Hashtbl.create 64;
       on_round; order = []; proposed = 0; infeasible = 0; failures = []; rounds = 0 }

@@ -83,19 +83,14 @@ type result = {
       (** greedy's accepted climb, start first; [[]] for other strategies *)
 }
 
-val frontier_of : point list -> point list
-(** Non-dominated subset in canonical order, duplicate objective vectors
-    collapsed to their smallest key. *)
-
 val run :
   ?on_round:(progress -> unit) ->
-  ?chunk:int ->
   space:'c space ->
   eval:('c list -> ('c * outcome) list) ->
   strategy ->
   seed:int ->
   result
-(** [chunk] (default 16) bounds the population handed to [eval] per round
+(** At most 16 candidates are handed to [eval] per round
     for the non-generational strategies, so exhaustive sweeps still
     stream frontier updates. [eval] receives only distinct, not yet
     memoized candidates. *)

@@ -13,8 +13,7 @@ type t = {
 
 let create name = { name; gnodes = []; gedges = []; clusters = [] }
 
-let sanitize id =
-  String.map (fun c -> if (c >= 'a' && c <= 'z') || (c >= 'A' && c <= 'Z') || (c >= '0' && c <= '9') then c else '_') id
+let sanitize = Ident.sanitize
 
 let add_node ?(attrs = []) t ~id ~label =
   t.gnodes <- { id = sanitize id; label; attrs } :: t.gnodes

@@ -6,9 +6,6 @@ type t
 
 val create : string -> t
 
-val sanitize : string -> string
-(** The identifier actually used for a given id. *)
-
 val add_node : ?attrs:(string * string) list -> t -> id:string -> label:string -> unit
 val add_edge : ?attrs:(string * string) list -> t -> src:string -> dst:string -> unit
 

@@ -11,8 +11,6 @@ val create : int -> t
 val copy : t -> t
 (** An independent generator continuing from the same state. *)
 
-val next_int64 : t -> int64
-
 val keyed_float : seed:int -> key:string -> n:int -> float
 (** A pure hash of [(seed, key, n)] into [0, 1), for decisions that must
     replay bit-for-bit without threading a generator: the [n]th fault

@@ -114,8 +114,8 @@ let test_behavioral_backpressure () =
     }
   in
   ignore (Soc_platform.System.add_accel_behavioral sys ~name:"burst" burst);
-  let in_ch, _ = Soc_platform.System.add_mm2s sys ~dst:("burst", "i") () in
-  let out_ch, _ = Soc_platform.System.add_s2mm sys ~src:("burst", "o") () in
+  let in_ch, _ = Soc_platform.System.add_mm2s sys ~dst:("burst", "i") in
+  let out_ch, _ = Soc_platform.System.add_s2mm sys ~src:("burst", "o") in
   let exec = Exec.create sys in
   Soc_axi.Dram.write_block (Exec.dram exec) ~addr:0 [| 100 |];
   Exec.start_accel exec "burst";
@@ -149,7 +149,7 @@ let test_vcd_structure () =
 
 let test_vcd_only_changes () =
   (* A held-constant design emits exactly one time frame. *)
-  let net = Soc_rtl.Netlist.create "const" in
+  let net = Soc_rtl.Netlist.create "const mod" in
   let o = Soc_rtl.Netlist.output net ~name:"o" ~width:8 in
   Soc_rtl.Netlist.assign net o (Soc_rtl.Netlist.Const (7, 8));
   let sim = Soc_rtl.Sim.create net in
@@ -160,6 +160,8 @@ let test_vcd_only_changes () =
     Soc_rtl.Sim.tick sim
   done;
   let text = Soc_rtl.Vcd.to_string vcd in
+  check Alcotest.bool "module name sanitized" true
+    (Tstr.contains text "$scope module const_mod $end");
   check Alcotest.bool "one #0 frame" true (Tstr.contains text "#0");
   check Alcotest.bool "no #1 frame" false (Tstr.contains text "#1");
   check Alcotest.bool "no #4 frame" false (Tstr.contains text "#4")

@@ -513,11 +513,10 @@ let test_directives_generated () =
   check Alcotest.bool "axis directive" true (Tstr.contains directives "-mode axis");
   check Alcotest.bool "axilite return" true (Tstr.contains directives "-mode s_axilite")
 
-let test_verilog_artifact () =
+let test_netlist_module_name () =
   let accel = Soc_hls.Engine.synthesize Soc_apps.Filters.add_kernel in
-  check Alcotest.bool "verilog has module ADD" true
-    (Tstr.contains (Soc_rtl.Verilog.emit accel.Soc_hls.Engine.fsmd.Soc_hls.Fsmd.netlist)
-       "module ADD")
+  check Alcotest.string "netlist module named after the kernel" "ADD"
+    accel.Soc_hls.Engine.fsmd.Soc_hls.Fsmd.netlist.Soc_rtl.Netlist.mod_name
 
 let test_illegal_schedule_detected () =
   (* verify must flag a corrupted schedule. *)
@@ -553,7 +552,7 @@ let suite =
     ("dsp only with mul", `Quick, test_dsp_only_with_mul);
     ("fu sharing bounds dsps", `Quick, test_fu_sharing_bounds_dsps);
     ("directives artifact", `Quick, test_directives_generated);
-    ("verilog artifact", `Quick, test_verilog_artifact);
+    ("netlist module name", `Quick, test_netlist_module_name);
     ("schedule verifier detects corruption", `Quick, test_illegal_schedule_detected);
     qtest prop_list_schedule_legal;
     qtest prop_asap_not_longer_than_list;

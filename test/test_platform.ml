@@ -124,8 +124,8 @@ let test_unbound_stream_reported () =
 let test_duplicate_dma_channel_reported () =
   let sys = P.System.create () in
   ignore (P.System.add_accel sys ~name:"P" (synth (passthrough 4)));
-  let name, dma = P.System.add_mm2s sys ~dst:("P", "xin") () in
-  ignore (P.System.add_s2mm sys ~src:("P", "xout") ());
+  let name, dma = P.System.add_mm2s sys ~dst:("P", "xin") in
+  ignore (P.System.add_s2mm sys ~src:("P", "xout"));
   (* A buggy integration frontend registering the same channel twice. *)
   sys.P.System.mm2s <- (name, dma) :: sys.P.System.mm2s;
   check Alcotest.bool "duplicate flagged" true
@@ -138,9 +138,9 @@ let test_duplicate_dma_channel_reported () =
 let test_unattached_fifo_reported () =
   let sys = P.System.create () in
   ignore (P.System.add_accel sys ~name:"P" (synth (passthrough 4)));
-  ignore (P.System.add_mm2s sys ~dst:("P", "xin") ());
-  ignore (P.System.add_s2mm sys ~src:("P", "xout") ());
-  ignore (P.System.new_fifo sys ~name:"orphan" ());
+  ignore (P.System.add_mm2s sys ~dst:("P", "xin"));
+  ignore (P.System.add_s2mm sys ~src:("P", "xout"));
+  ignore (P.System.new_fifo sys ~name:"orphan");
   (match P.System.validate sys with
   | [ d ] ->
     check Alcotest.string "orphan code" "SOC052" d.Soc_util.Diag.code;
@@ -185,8 +185,8 @@ let test_exception_printers () =
 let stream_system n =
   let sys = P.System.create () in
   ignore (P.System.add_accel sys ~name:"P" (synth (passthrough n)));
-  let in_ch, _ = P.System.add_mm2s sys ~dst:("P", "xin") () in
-  let out_ch, _ = P.System.add_s2mm sys ~src:("P", "xout") () in
+  let in_ch, _ = P.System.add_mm2s sys ~dst:("P", "xin") in
+  let out_ch, _ = P.System.add_s2mm sys ~src:("P", "xout") in
   check (Alcotest.list diag_testable) "fully bound" [] (P.System.validate sys);
   (sys, Exec.create sys, in_ch, out_ch)
 
@@ -237,8 +237,8 @@ let test_deadlock_detection () =
   (* Accelerator waits for 4 beats but the DMA only delivers 2. *)
   let sys = P.System.create ~config:{ P.Config.zedboard with P.Config.deadlock_window = 2000 } () in
   ignore (P.System.add_accel sys ~name:"P" (synth (passthrough 4)));
-  let in_ch, _ = P.System.add_mm2s sys ~dst:("P", "xin") () in
-  let _out_ch, _ = P.System.add_s2mm sys ~src:("P", "xout") () in
+  let in_ch, _ = P.System.add_mm2s sys ~dst:("P", "xin") in
+  let _out_ch, _ = P.System.add_s2mm sys ~src:("P", "xout") in
   let exec = Exec.create sys in
   Exec.start_accel exec "P";
   Exec.start_write_dma exec ~channel:in_ch ~addr:0 ~len:2;
@@ -254,8 +254,8 @@ let test_fifo_too_small_deadlocks () =
   in
   let sys = P.System.create ~config () in
   ignore (P.System.add_accel sys ~name:"P" (synth (passthrough 32)));
-  let in_ch, _ = P.System.add_mm2s sys ~dst:("P", "xin") () in
-  let _ = P.System.add_s2mm sys ~src:("P", "xout") () in
+  let in_ch, _ = P.System.add_mm2s sys ~dst:("P", "xin") in
+  let _ = P.System.add_s2mm sys ~src:("P", "xout") in
   let exec = Exec.create sys in
   Exec.start_accel exec "P";
   Exec.start_write_dma exec ~channel:in_ch ~addr:0 ~len:32;
@@ -281,9 +281,9 @@ let test_accel_to_accel_link () =
   let sys = P.System.create () in
   ignore (P.System.add_accel sys ~name:"A" (synth (passthrough n)));
   ignore (P.System.add_accel sys ~name:"B" (synth { (passthrough n) with Soc_kernel.Ast.kname = "pass2" }));
-  ignore (P.System.link_stream sys ~src:("A", "xout") ~dst:("B", "xin") ());
-  let in_ch, _ = P.System.add_mm2s sys ~dst:("A", "xin") () in
-  let out_ch, _ = P.System.add_s2mm sys ~src:("B", "xout") () in
+  ignore (P.System.link_stream sys ~src:("A", "xout") ~dst:("B", "xin"));
+  let in_ch, _ = P.System.add_mm2s sys ~dst:("A", "xin") in
+  let out_ch, _ = P.System.add_s2mm sys ~src:("B", "xout") in
   let exec = Exec.create sys in
   Soc_axi.Dram.write_block (Exec.dram exec) ~addr:0 (Array.init n Fun.id);
   Exec.start_accel exec "A";
@@ -301,9 +301,9 @@ let test_double_driven_port_reported () =
   ignore
     (P.System.add_accel sys ~name:"B"
        (synth { (passthrough 4) with Soc_kernel.Ast.kname = "pass2" }));
-  let link = P.System.link_stream sys ~src:("A", "xout") ~dst:("B", "xin") () in
-  ignore (P.System.add_mm2s sys ~dst:("A", "xin") ());
-  ignore (P.System.add_s2mm sys ~src:("B", "xout") ());
+  let link = P.System.link_stream sys ~src:("A", "xout") ~dst:("B", "xin") in
+  ignore (P.System.add_mm2s sys ~dst:("A", "xin"));
+  ignore (P.System.add_s2mm sys ~src:("B", "xout"));
   check (Alcotest.list diag_testable) "consistent before injection" []
     (P.System.validate sys);
   (* A buggy frontend aiming a DMA channel at the FIFO that A already
@@ -323,8 +323,8 @@ let test_double_driven_port_reported () =
 let test_double_bind_rejected () =
   let sys = P.System.create () in
   ignore (P.System.add_accel sys ~name:"P" (synth (passthrough 4)));
-  ignore (P.System.add_mm2s sys ~dst:("P", "xin") ());
-  match P.System.add_mm2s sys ~dst:("P", "xin") () with
+  ignore (P.System.add_mm2s sys ~dst:("P", "xin"));
+  match P.System.add_mm2s sys ~dst:("P", "xin") with
   | exception Invalid_argument _ -> ()
   | _ -> Alcotest.fail "expected rejection"
 

@@ -1,5 +1,4 @@
-(* Tests for the RTL netlist IR, the cycle simulator and the Verilog
-   emitter. *)
+(* Tests for the RTL netlist IR and the cycle simulator. *)
 
 module N = Soc_rtl.Netlist
 module Sim = Soc_rtl.Sim
@@ -233,35 +232,6 @@ let test_lut_estimates () =
   check Alcotest.int "mul counts as dsp" 1
     (N.expr_dsps (N.Bin (Mul, N.Const (0, 32), N.Const (0, 32))))
 
-(* ------------------------------------------------------------------ *)
-(* Verilog emission                                                    *)
-(* ------------------------------------------------------------------ *)
-
-let test_verilog_structure () =
-  let net = N.create "my mod" in
-  let a = N.input net ~name:"a" ~width:32 in
-  let o = N.output net ~name:"o" ~width:32 in
-  let q = N.register net ~name:"q" ~width:32 (fun _ -> N.Ref a) in
-  N.assign net o (N.Ref q);
-  let _ =
-    N.add_mem net ~name:"m" ~size:8 ~width:32 ~raddr:(N.Ref a) ~wen:N.zero
-      ~waddr:(N.Const (0, 32)) ~wdata:(N.Const (0, 32)) ()
-  in
-  let v = Soc_rtl.Verilog.emit net in
-  check Alcotest.bool "module name sanitized" true (Tstr.contains v "module my_mod");
-  check Alcotest.bool "has endmodule" true (Tstr.contains v "endmodule");
-  check Alcotest.bool "has posedge block" true (Tstr.contains v "always @(posedge clk)");
-  check Alcotest.bool "declares memory" true (Tstr.contains v "[0:7]");
-  check Alcotest.bool "input decl" true (Tstr.contains v "input wire [31:0]")
-
-let test_verilog_signed_ops () =
-  let net = N.create "s" in
-  let a = N.input net ~name:"a" ~width:32 in
-  let o = N.output net ~name:"o" ~width:1 in
-  N.assign net o (N.Bin (Lt, N.Ref a, N.Const (5, 32)));
-  let v = Soc_rtl.Verilog.emit net in
-  check Alcotest.bool "signed compare" true (Tstr.contains v "$signed")
-
 let suite =
   [
     ("comb adder", `Quick, test_comb_adder);
@@ -282,6 +252,4 @@ let suite =
     ("bad width rejected", `Quick, test_bad_width_rejected);
     ("ff bit accounting", `Quick, test_ff_bits);
     ("lut/dsp estimates", `Quick, test_lut_estimates);
-    ("verilog structure", `Quick, test_verilog_structure);
-    ("verilog signed ops", `Quick, test_verilog_signed_ops);
   ]

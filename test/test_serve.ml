@@ -792,6 +792,27 @@ let test_breaker_unit () =
   check Alcotest.bool "disabled breaker always admits" true
     (Breaker.check off "x" = Breaker.Admit)
 
+(* A probe that never reports (refused at admission, or expired in the
+   queue before any work) must not poison its key until restart: one
+   cooldown after it was issued it counts as lost and a new probe goes
+   out. *)
+let test_breaker_lost_probe () =
+  let now = ref 0.0 in
+  let b = Breaker.create ~clock:(fun () -> !now) ~threshold:1 ~cooldown_ms:1000 () in
+  Breaker.record b "k" ~ok:false;
+  now := 1.0;
+  check Alcotest.bool "cooldown over: probe" true (Breaker.check b "k" = Breaker.Probe);
+  now := 1.5;
+  check Alcotest.bool "probe still in flight: reject" true
+    (Breaker.check b "k" = Breaker.Reject 0.0);
+  now := 2.0;
+  check Alcotest.bool "unreported probe is lost: new probe" true
+    (Breaker.check b "k" = Breaker.Probe);
+  check Alcotest.int "a lost probe is not a trip" 1 (Breaker.trips b);
+  Breaker.record b "k" ~ok:true;
+  check Alcotest.bool "the new probe's success closes" true
+    (Breaker.check b "k" = Breaker.Admit)
+
 let test_sched_flush_queued () =
   let s = Scheduler.create ~queue_cap:10 () in
   let id1 =
@@ -1125,4 +1146,5 @@ let suite =
     qtest prop_json_roundtrip;
     ("serve: drain reply survives an immediate stop", `Quick,
      test_serve_drain_reply_survives_stop);
+    ("breaker: an unreported probe is reissued", `Quick, test_breaker_lost_probe);
   ]

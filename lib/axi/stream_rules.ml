@@ -48,6 +48,10 @@ let observe t ~tvalid ~tdata ~tready =
   else t.pending <- None;
   t.cycle <- t.cycle + 1
 
+(* [k] cycles of an idle channel (TVALID low, nothing pending): only the
+   cycle count moves. *)
+let skip t k = t.cycle <- t.cycle + k
+
 let violations t = List.rev t.violations
 let handshakes t = t.handshakes
 

@@ -16,6 +16,10 @@ val create : string -> t
 val observe : t -> tvalid:bool -> tdata:int -> tready:bool -> unit
 (** Feed one cycle's view of the channel. *)
 
+val skip : t -> int -> unit
+(** Account for [k] cycles of an idle channel (TVALID low, no data
+    pending) at once: only the cycle count in later violations moves. *)
+
 val violations : t -> violation list
 val handshakes : t -> int
 

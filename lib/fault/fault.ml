@@ -117,6 +117,8 @@ let due p ~cycle =
   in
   take [] p.pending
 
+let next_at p = match p.pending with f :: _ -> Some f.at_cycle | [] -> None
+
 let record p e = p.log <- e :: p.log
 let events p = List.rev p.log
 let counters p = p.ctrs

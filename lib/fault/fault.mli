@@ -72,6 +72,9 @@ val due : plan -> cycle:int -> fault list
 (** Faults whose injection cycle has arrived. Each fault is returned
     exactly once over the life of the plan. *)
 
+val next_at : plan -> int option
+(** Injection cycle of the earliest fault not yet returned by {!due}. *)
+
 val record : plan -> event -> unit
 val events : plan -> event list
 (** Chronological. *)

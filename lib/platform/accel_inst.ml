@@ -14,12 +14,33 @@
     (self-clearing); status bit 0 = sticky ap_done; argument registers are
     forwarded into the datapath, scalar results copied back at
     completion. Every stream output is watched by an AXI protocol
-    checker. *)
+    checker.
+
+    An RTL core resolves its ports when they are bound: each stream
+    binding carries its FIFO and netlist signals (and, for an output, its
+    protocol checker), each scalar input its signal and register offset,
+    so a cycle looks nothing up by name. A step also reports whether it
+    was a fixpoint ({!still}); the executive uses that to skip cycles in
+    which nothing in the fabric can change. *)
 
 module Fsmd = Soc_hls.Fsmd
 module Sim = Soc_rtl_compile.Engine
 
-type rtl_engine = { fsmd : Fsmd.t; sim : Sim.t }
+type rtl_in = { ri_fifo : Soc_axi.Fifo.t; ri_sigs : Fsmd.stream_in_sigs }
+
+type rtl_out = {
+  ro_fifo : Soc_axi.Fifo.t;
+  ro_sigs : Fsmd.stream_out_sigs;
+  ro_monitor : Soc_axi.Stream_rules.t;
+}
+
+type rtl_engine = {
+  fsmd : Fsmd.t;
+  sim : Sim.t;
+  scalars : (Soc_rtl.Netlist.signal * int) array; (* input signal, register offset *)
+  mutable ins : rtl_in array;
+  mutable outs : rtl_out array;
+}
 
 type behavioral_engine = {
   cfg : Soc_kernel.Cfg.t;
@@ -44,17 +65,17 @@ type t = {
   mutable out_bindings : (string * Soc_axi.Fifo.t) list;
   monitors : (string * Soc_axi.Stream_rules.t) list;
   mutable done_latched : bool;
-  mutable busy_cycles : int;
-  mutable total_cycles : int;
+  mutable still : bool; (* the last step changed nothing; see [step_rtl] *)
   mutable hang_cycles : int; (* injected: 0 = healthy, max_int = permanent *)
   mutable corrupt_mask : int option; (* injected: XORed into the next result *)
 }
 
+(* Argument registers are numbered scalar inputs first, then outputs. *)
+let arg_offsets_of ~scalar_in_ports ~scalar_out_ports =
+  List.mapi (fun i p -> (p, Soc_axi.Lite.arg_offset i)) (scalar_in_ports @ scalar_out_ports)
+
 let make_common ~name ~engine ~regfile ~scalar_in_ports ~scalar_out_ports
     ~stream_in_ports ~stream_out_ports =
-  let arg_offsets =
-    List.mapi (fun i p -> (p, Soc_axi.Lite.arg_offset i)) (scalar_in_ports @ scalar_out_ports)
-  in
   {
     name;
     engine;
@@ -63,25 +84,28 @@ let make_common ~name ~engine ~regfile ~scalar_in_ports ~scalar_out_ports
     scalar_out_ports;
     stream_in_ports;
     stream_out_ports;
-    arg_offsets;
+    arg_offsets = arg_offsets_of ~scalar_in_ports ~scalar_out_ports;
     in_bindings = [];
     out_bindings = [];
     monitors =
       List.map (fun port -> (port, Soc_axi.Stream_rules.create (name ^ "." ^ port)))
         stream_out_ports;
     done_latched = false;
-    busy_cycles = 0;
-    total_cycles = 0;
+    still = false;
     hang_cycles = 0;
     corrupt_mask = None;
   }
 
 let create ~name ~(fsmd : Fsmd.t) ~regfile =
+  let scalar_in_ports = List.map fst fsmd.scalar_in in
+  let scalar_out_ports = List.map fst fsmd.scalar_out in
+  let offsets = arg_offsets_of ~scalar_in_ports ~scalar_out_ports in
+  let scalars =
+    Array.of_list (List.map (fun (port, signal) -> (signal, List.assoc port offsets)) fsmd.scalar_in)
+  in
   make_common ~name
-    ~engine:(Rtl { fsmd; sim = Sim.create fsmd.netlist })
-    ~regfile
-    ~scalar_in_ports:(List.map fst fsmd.scalar_in)
-    ~scalar_out_ports:(List.map fst fsmd.scalar_out)
+    ~engine:(Rtl { fsmd; sim = Sim.create fsmd.netlist; scalars; ins = [||]; outs = [||] })
+    ~regfile ~scalar_in_ports ~scalar_out_ports
     ~stream_in_ports:(List.map fst fsmd.stream_in)
     ~stream_out_ports:(List.map fst fsmd.stream_out)
 
@@ -121,14 +145,27 @@ let bind_input t ~port fifo =
     invalid_arg (t.name ^ ": no input stream " ^ port);
   if List.mem_assoc port t.in_bindings then
     invalid_arg (t.name ^ ": input stream " ^ port ^ " already bound");
-  t.in_bindings <- (port, fifo) :: t.in_bindings
+  t.in_bindings <- (port, fifo) :: t.in_bindings;
+  match t.engine with
+  | Rtl e ->
+    e.ins <- Array.append [| { ri_fifo = fifo; ri_sigs = List.assoc port e.fsmd.Fsmd.stream_in } |] e.ins
+  | Behavioral _ -> ()
 
 let bind_output t ~port fifo =
   if not (List.mem port t.stream_out_ports) then
     invalid_arg (t.name ^ ": no output stream " ^ port);
   if List.mem_assoc port t.out_bindings then
     invalid_arg (t.name ^ ": output stream " ^ port ^ " already bound");
-  t.out_bindings <- (port, fifo) :: t.out_bindings
+  t.out_bindings <- (port, fifo) :: t.out_bindings;
+  match t.engine with
+  | Rtl e ->
+    let b =
+      { ro_fifo = fifo;
+        ro_sigs = List.assoc port e.fsmd.Fsmd.stream_out;
+        ro_monitor = List.assoc port t.monitors }
+    in
+    e.outs <- Array.append [| b |] e.outs
+  | Behavioral _ -> ()
 
 let unbound_streams t =
   List.filter_map
@@ -172,53 +209,63 @@ let finish t ~out_scalars =
 (* RTL cycle                                                           *)
 (* ------------------------------------------------------------------ *)
 
-let step_rtl t ({ fsmd; sim } : rtl_engine) =
+(* One cycle of the RTL core. The step is [still] when it was a fixpoint:
+   nothing moved, ap_done stayed low, the simulator is quiet and every
+   output saw TREADY high. In a quiescent fabric (all FIFOs empty and not
+   stuck, the register file untouched) the next step then drives the same
+   inputs and repeats this one exactly. TREADY is part of the rule because
+   a stuck FIFO that frees at this cycle's commit would raise it next
+   cycle. *)
+let step_rtl t { fsmd; sim; scalars; ins; outs } =
   Sim.set_input sim fsmd.Fsmd.ap_start (if started t then 1 else 0);
-  List.iter
-    (fun (port, signal) ->
-      Sim.set_input sim signal (Soc_axi.Lite.rf_peek t.regfile ~offset:(arg_offset t port)))
-    fsmd.Fsmd.scalar_in;
-  List.iter
-    (fun (port, fifo) ->
-      let sigs = List.assoc port fsmd.Fsmd.stream_in in
-      match Soc_axi.Fifo.front fifo with
-      | Some v ->
-        Sim.set_input sim sigs.Fsmd.in_tvalid 1;
-        Sim.set_input sim sigs.Fsmd.in_tdata v
-      | None -> Sim.set_input sim sigs.Fsmd.in_tvalid 0)
-    t.in_bindings;
-  List.iter
-    (fun (port, fifo) ->
-      let sigs = List.assoc port fsmd.Fsmd.stream_out in
-      Sim.set_input sim sigs.Fsmd.out_tready (if Soc_axi.Fifo.can_push fifo then 1 else 0))
-    t.out_bindings;
+  for i = 0 to Array.length scalars - 1 do
+    let signal, offset = scalars.(i) in
+    Sim.set_input sim signal (Soc_axi.Lite.rf_peek t.regfile ~offset)
+  done;
+  for i = 0 to Array.length ins - 1 do
+    let b = ins.(i) in
+    match Soc_axi.Fifo.front b.ri_fifo with
+    | Some v ->
+      Sim.set_input sim b.ri_sigs.Fsmd.in_tvalid 1;
+      Sim.set_input sim b.ri_sigs.Fsmd.in_tdata v
+    | None -> Sim.set_input sim b.ri_sigs.Fsmd.in_tvalid 0
+  done;
+  let all_ready = ref true in
+  for i = 0 to Array.length outs - 1 do
+    let b = outs.(i) in
+    let ready = Soc_axi.Fifo.can_push b.ro_fifo in
+    if not ready then all_ready := false;
+    Sim.set_input sim b.ro_sigs.Fsmd.out_tready (if ready then 1 else 0)
+  done;
   Sim.settle sim;
   let moved = ref false in
-  List.iter
-    (fun (port, fifo) ->
-      let sigs = List.assoc port fsmd.Fsmd.stream_in in
-      if Sim.value sim sigs.Fsmd.in_tready = 1 && not (Soc_axi.Fifo.is_empty fifo) then begin
-        ignore (Soc_axi.Fifo.pop fifo);
-        moved := true
-      end)
-    t.in_bindings;
-  List.iter
-    (fun (port, fifo) ->
-      let sigs = List.assoc port fsmd.Fsmd.stream_out in
-      let tvalid = Sim.value sim sigs.Fsmd.out_tvalid = 1 in
-      let tready = Soc_axi.Fifo.can_push fifo in
-      let tdata = Sim.value sim sigs.Fsmd.out_tdata in
-      Soc_axi.Stream_rules.observe (List.assoc port t.monitors) ~tvalid ~tdata ~tready;
-      if tvalid && tready then begin
-        Soc_axi.Fifo.push fifo tdata;
-        moved := true
-      end)
-    t.out_bindings;
-  if Sim.value sim fsmd.Fsmd.ap_done = 1 then
+  for i = 0 to Array.length ins - 1 do
+    let b = ins.(i) in
+    if Sim.value sim b.ri_sigs.Fsmd.in_tready = 1 && not (Soc_axi.Fifo.is_empty b.ri_fifo)
+    then begin
+      ignore (Soc_axi.Fifo.pop b.ri_fifo);
+      moved := true
+    end
+  done;
+  for i = 0 to Array.length outs - 1 do
+    let b = outs.(i) in
+    let tvalid = Sim.value sim b.ro_sigs.Fsmd.out_tvalid = 1 in
+    let tready = Soc_axi.Fifo.can_push b.ro_fifo in
+    let tdata = Sim.value sim b.ro_sigs.Fsmd.out_tdata in
+    Soc_axi.Stream_rules.observe b.ro_monitor ~tvalid ~tdata ~tready;
+    if tvalid && tready then begin
+      Soc_axi.Fifo.push b.ro_fifo tdata;
+      moved := true
+    end
+  done;
+  let finished = Sim.value sim fsmd.Fsmd.ap_done = 1 in
+  if finished then
     finish t
       ~out_scalars:
         (List.map (fun (port, signal) -> (port, Sim.value sim signal)) fsmd.Fsmd.scalar_out);
   Sim.tick sim;
+  t.still <-
+    (not !moved) && (not finished) && !all_ready && t.corrupt_mask = None && Sim.quiet sim;
   !moved
 
 (* ------------------------------------------------------------------ *)
@@ -281,20 +328,30 @@ let step_behavioral t (b : behavioral_engine) =
     !moved
 
 let step t =
-  let moved =
-    if t.hang_cycles <> 0 then begin
-      (* Injected hang: the core is frozen — no handshake, no done. *)
-      if t.hang_cycles <> max_int then t.hang_cycles <- t.hang_cycles - 1;
-      false
-    end
-    else
-      match t.engine with
-      | Rtl e -> step_rtl t e
-      | Behavioral b -> step_behavioral t b
-  in
-  t.total_cycles <- t.total_cycles + 1;
-  if not (is_idle t) then t.busy_cycles <- t.busy_cycles + 1;
-  moved
+  if t.hang_cycles <> 0 then begin
+    (* Injected hang: the core is frozen — no handshake, no done. *)
+    if t.hang_cycles <> max_int then t.hang_cycles <- t.hang_cycles - 1;
+    t.still <- false;
+    false
+  end
+  else
+    match t.engine with
+    | Rtl e -> step_rtl t e
+    | Behavioral b ->
+      t.still <- false;
+      step_behavioral t b
+
+(* Whether the last {!step} was a fixpoint (RTL only; see [step_rtl]). *)
+let still t = t.still
+
+(* Account for [k] repeats of a still step without running them: the
+   simulator's cycle and every bound output's checker cycle advance. *)
+let skip t k =
+  match t.engine with
+  | Rtl e when t.still ->
+    Sim.skip e.sim k;
+    Array.iter (fun b -> Soc_axi.Stream_rules.skip b.ro_monitor k) e.outs
+  | _ -> invalid_arg (t.name ^ ": skip after a step that was not still")
 
 (* Arm the core for a new run: clears sticky done. *)
 let arm t =
@@ -327,6 +384,7 @@ let soft_reset t =
   | Rtl { sim; _ } -> Sim.reset sim
   | Behavioral b -> b.inst <- None);
   t.done_latched <- false;
+  t.still <- false;
   t.hang_cycles <- 0;
   t.corrupt_mask <- None;
   Soc_axi.Lite.rf_poke t.regfile ~offset:Soc_axi.Lite.ctrl_offset 0;

@@ -42,6 +42,19 @@ val is_idle : t -> bool
 val step : t -> bool
 (** One PL clock cycle; true iff at least one stream beat moved. *)
 
+val still : t -> bool
+(** Whether the last {!step} was a fixpoint of an RTL core: nothing moved,
+    ap_done stayed low, every output saw TREADY high, no hang or result
+    corruption is armed and the simulator is quiet
+    ({!Soc_rtl_compile.Engine.quiet}). Behavioural cores and the
+    interpreter backend are never still. *)
+
+val skip : t -> int -> unit
+(** Account for [k] repeats of a still step without running them (the
+    simulator's and the output checkers' cycle counts advance). Valid only
+    right after a still step, in a fabric that drives the core's inputs
+    unchanged; raises [Invalid_argument] when the core is not still. *)
+
 val arm : t -> unit
 val protocol_violations : t -> Soc_axi.Stream_rules.violation list
 

@@ -1,9 +1,16 @@
 (** Co-simulation executive and host (driver-level) API.
 
     The executive owns the platform timeline, counted in PL clock cycles.
-    Software work advances the clock in bulk (GPP cost model); hardware work
-    advances it by stepping every accelerator, DMA channel and FIFO one
-    cycle at a time. The host API mirrors the driver interface the paper's
+    Hardware work advances it by stepping every accelerator, DMA channel and
+    FIFO one cycle at a time. Software work (GPP cost model) and AXI-Lite
+    latency advance it by a known number of cycles, during which the fabric
+    keeps stepping so that running accelerators make progress; once a step
+    leaves the fabric quiescent — every core at a fixpoint, every DMA idle,
+    every FIFO empty — the rest of those cycles is skipped in one go, up to
+    the next fault of an armed plan or the watchdog deadline. Skipped
+    cycles are exact: every counter, output and violation matches a
+    step-by-step run, which the interpreter backend (never quiescent)
+    still performs. The host API mirrors the driver interface the paper's
     flow generates: AXI-Lite register access, accelerator start/poll, and
     blocking [writeDMA]/[readDMA] calls backed by the DMA engines.
 
@@ -41,6 +48,7 @@ type timeline = {
   mutable gpp_compute : int; (* software task execution *)
   mutable bus : int; (* AXI-Lite transactions *)
   mutable hw : int; (* cycles spent driving hardware phases *)
+  mutable skipped : int; (* of [total]: fast-forwarded over a quiescent fabric *)
 }
 
 type t = {
@@ -55,7 +63,7 @@ type t = {
 let create sys =
   {
     sys;
-    timeline = { total = 0; gpp_compute = 0; bus = 0; hw = 0 };
+    timeline = { total = 0; gpp_compute = 0; bus = 0; hw = 0; skipped = 0 };
     last_transfer_cycle = 0;
     plan = None;
     plan_base = 0;
@@ -224,14 +232,60 @@ let run_until t pred =
       raise (Deadlock { cycle = t.timeline.total; detail = deadlock_detail t })
   done
 
-(* Advance the clock without hardware activity (pure GPP time). The fabric
-   still ticks so that concurrently running accelerators make progress. *)
+(* The fabric is quiescent when its next step would repeat the last one
+   exactly: every accelerator's last step was still, every DMA channel is
+   idle and not stalled, and every FIFO is empty, with nothing staged and
+   not stuck. Asked only right after a step, before the host acts. *)
+let quiescent t =
+  let sys = t.sys in
+  List.for_all (fun (_, inst) -> Accel_inst.still inst) sys.System.accels
+  && List.for_all
+       (fun (_, (d : Soc_axi.Dma.mm2s)) -> (not d.m_busy) && d.m_stall = 0)
+       sys.System.mm2s
+  && List.for_all
+       (fun (_, (d : Soc_axi.Dma.s2mm)) -> (not d.s_busy) && d.s_stall = 0)
+       sys.System.s2mm
+  && List.for_all
+       (fun (q : Soc_axi.Fifo.t) -> Soc_axi.Fifo.occupancy q = 0 && q.stuck_cycles = 0)
+       sys.System.fifos
+
+(* How many of the next [left] steps a quiescent fabric may skip: none
+   past the watchdog deadline (the step at the deadline raises) or past
+   the next fault of an armed plan (the step at its cycle applies it). *)
+let skip_window t left =
+  let now = t.timeline.total in
+  let k =
+    match t.watchdog with Some (_, deadline) -> min left (deadline - now) | None -> left
+  in
+  match t.plan with
+  | Some plan -> (
+    match Fault.next_at plan with Some at -> min k (t.plan_base + at - now) | None -> k)
+  | None -> k
+
+(* Step the fabric for [n] cycles of software ([~gpp:true]: not counted as
+   hardware time) or bus latency. After a step in which nothing moved, a
+   quiescent fabric skips ahead in O(#accelerators). *)
+let run_cycles t ~gpp n =
+  let left = ref n in
+  while !left > 0 do
+    let moved = step_fabric t in
+    decr left;
+    let k = if moved || !left = 0 || not (quiescent t) then 0 else skip_window t !left in
+    if k > 0 then begin
+      List.iter (fun (_, inst) -> Accel_inst.skip inst k) t.sys.System.accels;
+      t.timeline.total <- t.timeline.total + k;
+      t.timeline.hw <- t.timeline.hw + k;
+      t.timeline.skipped <- t.timeline.skipped + k;
+      left := !left - k
+    end;
+    if gpp then t.timeline.hw <- t.timeline.hw - 1 - k
+  done
+
+(* Advance the clock by pure GPP time. The fabric still ticks so that
+   concurrently running accelerators make progress. *)
 let advance_gpp t cycles =
   t.timeline.gpp_compute <- t.timeline.gpp_compute + cycles;
-  for _ = 1 to cycles do
-    ignore (step_fabric t);
-    t.timeline.hw <- t.timeline.hw - 1
-  done
+  run_cycles t ~gpp:true cycles
 
 (* ------------------------------------------------------------------ *)
 (* Host / driver API                                                   *)
@@ -241,7 +295,7 @@ let bus_write t addr v =
   match Soc_axi.Lite.bus_write t.sys.System.ic addr v with
   | Ok lat ->
     t.timeline.bus <- t.timeline.bus + lat;
-    for _ = 1 to lat do ignore (step_fabric t) done
+    run_cycles t ~gpp:false lat
   | Error (Soc_axi.Lite.No_slave a) ->
     raise (Bus_error { addr = a; dir = `Write; kind = `Decode })
   | Error (Soc_axi.Lite.Slave_error a) ->
@@ -251,7 +305,7 @@ let bus_read t addr =
   match Soc_axi.Lite.bus_read t.sys.System.ic addr with
   | Ok (v, lat) ->
     t.timeline.bus <- t.timeline.bus + lat;
-    for _ = 1 to lat do ignore (step_fabric t) done;
+    run_cycles t ~gpp:false lat;
     v
   | Error (Soc_axi.Lite.No_slave a) ->
     raise (Bus_error { addr = a; dir = `Read; kind = `Decode })

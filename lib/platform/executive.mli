@@ -48,6 +48,9 @@ type timeline = {
   mutable gpp_compute : int;
   mutable bus : int;
   mutable hw : int;
+  mutable skipped : int;
+      (** Of [total]: cycles fast-forwarded over a quiescent fabric
+          instead of stepped. Always 0 under the interpreter backend. *)
 }
 
 type t = {

@@ -21,6 +21,14 @@
     is unobservable — the register keeps its value, the write is dropped —
     exactly as the interpreter's evaluate-and-discard.
 
+    An instance also remembers when simulating is a no-op. [settled]
+    holds when the store is the settle of the current inputs and state;
+    [quiet] holds when, on top of that, the last tick committed nothing —
+    no register, read-data or memory word changed. A quiet instance is a
+    fixpoint: until an input changes, every later settle and tick would
+    recompute the same store, so [settle] returns at once and [tick] only
+    counts the cycle. {!set_input} of an equal value keeps the flags.
+
     The dispatch loop uses unsafe array accesses, so {!of_tape} validates
     every slot index and segment range of a (possibly cache-loaded) tape
     up front and raises {!Tape_mismatch} instead of corrupting memory. *)
@@ -68,6 +76,8 @@ type t = {
   mem_rd_scratch : int array;
   mem_wr_scratch : int array; (* waddr (or -1), wdata; stride 2 *)
   mutable cycle : int;
+  mutable settled : bool; (* the store is the settle of its inputs and state *)
+  mutable quiet : bool; (* settled, and the last tick changed nothing *)
 }
 
 let disabled = min_int
@@ -407,6 +417,8 @@ let of_tape (tape : Tape.t) (net : Netlist.t) =
     mem_rd_scratch = Array.make n_mems 0;
     mem_wr_scratch = Array.make (2 * n_mems) (-1);
     cycle = 0;
+    settled = false;
+    quiet = false;
   }
 
 (* The verified compilation pipeline: lower, validate the lowering, then
@@ -436,9 +448,18 @@ let set_input t (s : Netlist.signal) v =
   let inputs = t.prog.inputs in
   if s.sid < 0 || s.sid >= Array.length inputs || not inputs.(s.sid) then
     invalid_arg ("Csim.set_input: " ^ s.sname ^ " is not an input");
-  t.store.(s.sid) <- v land Soc_util.Bits.mask s.width
+  let v = v land Soc_util.Bits.mask s.width in
+  if t.store.(s.sid) <> v then begin
+    t.store.(s.sid) <- v;
+    t.settled <- false;
+    t.quiet <- false
+  end
 
-let settle t = run_code t.store t.prog.settle_code
+let settle t =
+  if not t.quiet then begin
+    run_code t.store t.prog.settle_code;
+    t.settled <- true
+  end
 
 let value t (s : Netlist.signal) = t.store.(s.sid)
 
@@ -456,7 +477,8 @@ let mem_contents t name =
    then commit. When a specialization is installed, the pre-edge value of
    the dispatch register selects a partial-evaluated tick program; commit
    still goes through the generic reg_code/mem_code q and rdata slots,
-   which the variants share. *)
+   which the variants share. Commit compares before it stores: a tick
+   that changes nothing leaves a settled instance quiet. *)
 let tick_with t code prologue_end rc mc =
   let store = t.store in
   run_range store code 0 prologue_end;
@@ -493,31 +515,54 @@ let tick_with t code prologue_end rc mc =
     end
     else t.mem_wr_scratch.(2 * m) <- -1
   done;
+  let changed = ref false in
   for r = 0 to n_regs - 1 do
     let next = Array.unsafe_get scratch r in
-    if next <> disabled then
-      Array.unsafe_set store (Array.unsafe_get rc (6 * r)) next
+    let q = Array.unsafe_get rc (6 * r) in
+    if next <> disabled && Array.unsafe_get store q <> next then begin
+      Array.unsafe_set store q next;
+      changed := true
+    end
   done;
   for m = 0 to n_mems - 1 do
     let base = 8 * m in
-    store.(mc.(base + 4)) <- t.mem_rd_scratch.(m);
+    let rdata = mc.(base + 4) and rd = t.mem_rd_scratch.(m) in
+    if store.(rdata) <> rd then begin
+      store.(rdata) <- rd;
+      changed := true
+    end;
     let waddr = t.mem_wr_scratch.(2 * m) in
-    if waddr >= 0 then t.mem_data.(m).(waddr) <- t.mem_wr_scratch.((2 * m) + 1)
+    if waddr >= 0 then begin
+      let data = t.mem_data.(m) and wdata = t.mem_wr_scratch.((2 * m) + 1) in
+      if data.(waddr) <> wdata then begin
+        data.(waddr) <- wdata;
+        changed := true
+      end
+    end
   done;
+  if !changed then t.settled <- false;
+  t.quiet <- t.settled;
   t.cycle <- t.cycle + 1
 
 let tick t =
   let p = t.prog in
-  if p.spec_slot >= 0 then begin
+  if t.quiet then t.cycle <- t.cycle + 1
+  else if p.spec_slot >= 0 then begin
     let v = p.spec.(t.store.(p.spec_slot) land p.spec_mask) in
     tick_with t v.v_code v.v_prologue_end v.v_reg v.v_mem
   end
   else tick_with t p.tick_code p.prologue_end p.reg_code p.mem_code
 
 let cycle t = t.cycle
+let quiet t = t.quiet
+
+(* [k] cycles of a quiet instance at once: their ticks are the identity. *)
+let skip t k = t.cycle <- t.cycle + k
 
 let reset t =
   let p = t.prog in
   Array.blit p.store_init 0 t.store 0 (Array.length t.store);
   Array.iteri (fun i init -> Array.blit init 0 t.mem_data.(i) 0 (Array.length init)) p.mem_init;
-  t.cycle <- 0
+  t.cycle <- 0;
+  t.settled <- false;
+  t.quiet <- false

@@ -201,6 +201,16 @@ let tick = function Interp_sim sim -> Sim.tick sim | Compiled_sim c -> Csim.tick
 
 let cycle = function Interp_sim sim -> Sim.cycle sim | Compiled_sim c -> Csim.cycle c
 
+(* Whether settle and tick are currently no-ops (see {!Csim}). The
+   interpreter is the oracle and never reports it, so it always steps. *)
+let quiet = function Interp_sim _ -> false | Compiled_sim c -> Csim.quiet c
+
+(* Advance a quiet simulator by [k] cycles without stepping it. *)
+let skip t k =
+  match t with
+  | Interp_sim _ -> invalid_arg "Engine.skip: the interpreter is never quiet"
+  | Compiled_sim c -> Csim.skip c k
+
 let reset = function Interp_sim sim -> Sim.reset sim | Compiled_sim c -> Csim.reset c
 
 let mem_contents t name =

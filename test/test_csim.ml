@@ -173,6 +173,108 @@ let test_differential_random =
     diff_run
 
 (* ------------------------------------------------------------------ *)
+(* Quiet memo: held inputs make settle and tick no-ops, exactly         *)
+(* ------------------------------------------------------------------ *)
+
+(* Inputs are held for random stretches of 1-50 cycles and re-driven with
+   the same values every cycle, as a stepping accelerator does; one cycle
+   in eight ticks without a settle, so the memo is also invalidated the
+   hard way. After every settle and every tick, the compiled engine (on
+   the DCE-observable signals) and a compiled instance that observes every
+   signal must match the interpreter on each signal, each memory and the
+   cycle count. Returns the number of ticks the memo skipped. *)
+let quiet_lockstep_run seed =
+  let net, inputs = random_netlist seed in
+  let rng = Soc_util.Rng.create (seed lxor 0x61c88647) in
+  let rand n = Soc_util.Rng.int rng n in
+  let sim = Sim.create net in
+  let eng = Engine.create ~backend:Engine.Compiled net in
+  if Engine.backend_of eng <> Engine.Compiled then
+    Alcotest.failf "seed %d: compiled backend fell back" seed;
+  let full = Csim.create ~observe:net.NL.signals net in
+  let kept =
+    net.NL.inputs @ net.NL.outputs
+    @ List.map (fun (r : NL.reg) -> r.NL.q) net.NL.regs
+    @ List.map (fun (m : NL.mem) -> m.NL.rdata) net.NL.mems
+  in
+  let agree cyc phase =
+    let fail what s want got =
+      Alcotest.failf "seed %d cycle %d after %s: %s %s interp=%d compiled=%d" seed cyc phase
+        what s.NL.sname want got
+    in
+    List.iter
+      (fun s ->
+        let want = Sim.value sim s in
+        if Csim.value full s <> want then fail "signal" s want (Csim.value full s))
+      net.NL.signals;
+    List.iter
+      (fun s ->
+        let want = Sim.value sim s in
+        if Engine.value eng s <> want then fail "engine signal" s want (Engine.value eng s))
+      kept;
+    List.iter
+      (fun (m : NL.mem) ->
+        let want = Sim.mem_contents sim m.NL.mem_name in
+        if Engine.mem_contents eng m.NL.mem_name <> want
+           || Csim.mem_contents full m.NL.mem_name <> want
+        then Alcotest.failf "seed %d cycle %d after %s: memory %s diverged" seed cyc phase
+            m.NL.mem_name)
+      net.NL.mems;
+    if Engine.cycle eng <> Sim.cycle sim || Csim.cycle full <> Sim.cycle sim then
+      Alcotest.failf "seed %d cycle %d after %s: cycle interp=%d engine=%d" seed cyc phase
+        (Sim.cycle sim) (Engine.cycle eng)
+  in
+  let held = Array.make (List.length inputs) 0 in
+  let hold = ref 0 in
+  let skipped = ref 0 in
+  for cyc = 1 to 150 do
+    if !hold = 0 then begin
+      hold := 1 + rand 50;
+      Array.iteri (fun i _ -> held.(i) <- rand 0x40000000) held
+    end;
+    decr hold;
+    List.iteri
+      (fun i s ->
+        Sim.set_input sim s held.(i);
+        Engine.set_input eng s held.(i);
+        Csim.set_input full s held.(i))
+      inputs;
+    if rand 8 <> 0 then begin
+      Sim.settle sim;
+      Engine.settle eng;
+      Csim.settle full;
+      agree cyc "settle"
+    end;
+    if Engine.quiet eng then incr skipped;
+    Sim.tick sim;
+    Engine.tick eng;
+    Csim.tick full;
+    agree cyc "tick"
+  done;
+  !skipped
+
+let test_quiet_lockstep_random =
+  QCheck.Test.make ~count:60 ~name:"quiet memo = interpreted, inputs held 1-50 cycles"
+    QCheck.(make Gen.(0 -- 100_000))
+    (fun seed -> quiet_lockstep_run seed >= 0)
+
+(* The property above is vacuous if the memo never fires: over a fixed
+   seed range, some ticks must be skipped, and the interpreter never is. *)
+let test_quiet_memo_fires () =
+  let skipped = ref 0 in
+  for seed = 0 to 39 do
+    skipped := !skipped + quiet_lockstep_run seed
+  done;
+  check Alcotest.bool "some ticks skipped" true (!skipped > 0);
+  let net, _ = random_netlist 0 in
+  let interp = Engine.create ~backend:Engine.Interp net in
+  Engine.settle interp;
+  Engine.tick interp;
+  Engine.settle interp;
+  Engine.tick interp;
+  check Alcotest.bool "interpreter never quiet" false (Engine.quiet interp)
+
+(* ------------------------------------------------------------------ *)
 (* Optimizer: folds, specializes and sweeps without changing meaning   *)
 (* ------------------------------------------------------------------ *)
 
@@ -576,6 +678,8 @@ let suite =
     Alcotest.test_case "topo: combinational cycle still detected" `Quick
       test_comb_cycle_still_detected;
     qtest test_differential_random;
+    qtest test_quiet_lockstep_random;
+    Alcotest.test_case "quiet memo fires on held inputs" `Quick test_quiet_memo_fires;
     Alcotest.test_case "optimizer folds, specializes, sweeps; meaning kept" `Quick
       test_optimizer_folds_and_dce;
     Alcotest.test_case "tape text roundtrip is byte-stable" `Quick test_tape_roundtrip;

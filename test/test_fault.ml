@@ -252,6 +252,166 @@ let prop_recoverable_campaigns_end_golden =
       in
       o.Chaos.output_ok)
 
+(* ------------------------------------------------------------------ *)
+(* Quiescent-fabric fast-forward: pinned to the interpreter oracle     *)
+(* ------------------------------------------------------------------ *)
+
+module Engine = Soc_rtl_compile.Engine
+module Runner = Soc_apps.Otsu_runner
+
+let with_backend b f =
+  let saved = Engine.default_backend () in
+  Engine.set_default_backend b;
+  Fun.protect ~finally:(fun () -> Engine.set_default_backend saved) f
+
+(* Everything a co-simulation run can be observed by, except the count of
+   fast-forwarded cycles. *)
+type observed = {
+  timeline : int * int * int * int; (* total, gpp_compute, bus, hw *)
+  events : Fault.event list;
+  violations : Soc_axi.Stream_rules.violation list;
+  fifos : string list;
+  output : int array * int;
+  result : (Exec.report, string) result;
+}
+
+let timeline_of exec =
+  let tl = exec.Exec.timeline in
+  (tl.Exec.total, tl.Exec.gpp_compute, tl.Exec.bus, tl.Exec.hw)
+
+let observe (h : Runner.host) plan result =
+  let exec = h.Runner.exec in
+  ( {
+      timeline = timeline_of exec;
+      events = Fault.events plan;
+      violations = P.System.protocol_violations exec.Exec.sys;
+      fifos = P.System.fifo_stats exec.Exec.sys;
+      output = ((Runner.read_output h).Soc_apps.Image.pixels, Runner.read_threshold h);
+      result;
+    },
+    exec.Exec.timeline.Exec.skipped )
+
+let boot_arch ~width ~height arch =
+  let _, live = Runner.build_arch ~width ~height arch in
+  Runner.boot ~width ~height (Some live)
+
+(* The whole host program of [arch] with a seeded campaign (permanent
+   faults on odd seeds) armed around its hardware phase, as the chaos
+   harness runs it. *)
+let campaign_run backend ~seed arch =
+  with_backend backend (fun () ->
+      let h = boot_arch ~width:12 ~height:12 arch in
+      let exec = h.Runner.exec in
+      let ph = Runner.phases h in
+      ph.Runner.pre ();
+      let plan =
+        Fault.plan_of_faults ~seed
+          (Fault.random_campaign ~seed ~n:4 ~horizon:3_000 ~include_permanent:(seed mod 2 = 1)
+             (Exec.inventory exec))
+      in
+      Exec.set_fault_plan exec plan;
+      let result =
+        match
+          Exec.run_task_resilient exec ~task:ph.Runner.task ~timeout:6_000
+            ~fallback:ph.Runner.sw_fallback ph.Runner.hw
+        with
+        | r -> Ok r
+        | exception Exec.Unrecoverable { cycle; _ } -> Error (Printf.sprintf "unrecoverable @%d" cycle)
+      in
+      Exec.clear_fault_plan exec;
+      ph.Runner.post ();
+      observe h plan result)
+
+let test_fast_forward_matches_oracle () =
+  List.iter
+    (fun arch ->
+      List.iter
+        (fun seed ->
+          let name = Printf.sprintf "%s seed %d" (Graphs.arch_name arch) seed in
+          let oracle, oracle_skipped = campaign_run Engine.Interp ~seed arch in
+          let fast, skipped = campaign_run Engine.Compiled ~seed arch in
+          check Alcotest.bool (name ^ ": timeline") true (fast.timeline = oracle.timeline);
+          check Alcotest.bool (name ^ ": fault log") true (fast.events = oracle.events);
+          check Alcotest.bool (name ^ ": violations") true (fast.violations = oracle.violations);
+          check (Alcotest.list Alcotest.string) (name ^ ": fifo stats") oracle.fifos fast.fifos;
+          check Alcotest.bool (name ^ ": output") true (fast.output = oracle.output);
+          check Alcotest.bool (name ^ ": report") true (fast.result = oracle.result);
+          check Alcotest.int (name ^ ": interpreter never skips") 0 oracle_skipped;
+          (* Arch1-3 run their first stage in software. *)
+          if arch <> Graphs.Arch4 then
+            check Alcotest.bool (name ^ ": software time skipped") true (skipped > 0))
+        [ 7; 8 ])
+    Graphs.all_archs
+
+(* The software stage of Arch1, run twice: the first run leaves the fabric
+   quiescent, and the plan is armed between them. The first fault is due
+   one cycle after the first step of the second run, a quiescent step
+   inside [advance_gpp]: the skip must stop short of it. A long DMA stall
+   and then a short hang land on idle units, both ending inside the
+   stage; neither may be skipped over, or the hardware phase that follows
+   starts late. *)
+let test_fault_caps_skip () =
+  let run backend =
+    with_backend backend (fun () ->
+        let h = boot_arch ~width:12 ~height:12 Graphs.Arch1 in
+        let exec = h.Runner.exec in
+        let ph = Runner.phases h in
+        ph.Runner.pre ();
+        let armed_at = Exec.elapsed_cycles exec in
+        let stage = armed_at (* the software stage, which started at cycle 0 *) in
+        let fault at target kind duration = { Fault.at_cycle = at; target; kind; duration } in
+        let plan =
+          Fault.plan_of_faults
+            [ fault 1 (Fault.Fifo mm2s_arch1) Fault.Fifo_stuck 3;
+              fault 10 (Fault.Mm2s mm2s_arch1) Fault.Dma_stall (stage - 40);
+              fault (stage - 25) (Fault.Accel "computeHistogram") Fault.Hang 20 ]
+        in
+        Exec.set_fault_plan exec plan;
+        ph.Runner.pre ();
+        ph.Runner.hw ();
+        Exec.clear_fault_plan exec;
+        (armed_at, observe h plan (Error "not run")))
+  in
+  let oracle_at, (oracle, _) = run Engine.Interp in
+  let at, (fast, skipped) = run Engine.Compiled in
+  check Alcotest.bool "fast path active" true (skipped > 0);
+  check Alcotest.bool "timeline" true (fast.timeline = oracle.timeline);
+  check Alcotest.bool "fault log" true (fast.events = oracle.events);
+  check Alcotest.int "armed at the same cycle" oracle_at at;
+  match fast.events with
+  | Fault.Injected { cycle; _ } :: _ -> check Alcotest.int "first fault lands" (at + 1) cycle
+  | _ -> Alcotest.fail "expected the first fault to be injected"
+
+(* A watchdog deadline that falls inside a software stage's skip window:
+   every attempt must expire on the deadline cycle itself. *)
+let test_watchdog_caps_skip () =
+  let timeout = 1_001 in
+  let run backend =
+    with_backend backend (fun () ->
+        let h = boot_arch ~width:12 ~height:12 Graphs.Arch1 in
+        let exec = h.Runner.exec in
+        let ph = Runner.phases h in
+        ph.Runner.pre ();
+        let plan = Fault.plan_of_faults [] in
+        Exec.set_fault_plan exec plan;
+        let started = Exec.elapsed_cycles exec in
+        let report =
+          Exec.run_task_resilient exec ~task:"sw-stage" ~timeout ~fallback:ignore ph.Runner.pre
+        in
+        (started, observe h plan (Ok report)))
+  in
+  let oracle_start, (oracle, _) = run Engine.Interp in
+  let start, (fast, skipped) = run Engine.Compiled in
+  check Alcotest.bool "fast path active" true (skipped > 0);
+  check Alcotest.bool "timeline" true (fast.timeline = oracle.timeline);
+  check Alcotest.bool "fault log" true (fast.events = oracle.events);
+  check Alcotest.bool "report" true (fast.result = oracle.result);
+  check Alcotest.int "same start" oracle_start start;
+  match fast.result with
+  | Ok { Exec.failures = first :: _ :: _; outcome = Exec.Fallback; _ } ->
+    check Alcotest.int "expires on the deadline" (start + timeout) first.Exec.at_cycle
+  | _ -> Alcotest.fail "expected every attempt to expire, then the fallback"
+
 let suite =
   [
     ("campaign deterministic in seed", `Quick, test_campaign_deterministic);
@@ -268,4 +428,8 @@ let suite =
     ("stuck fifo delays only", `Quick, test_fifo_stuck_delays_only);
     ("zero overhead when off", `Quick, test_zero_overhead_when_off);
     qtest prop_recoverable_campaigns_end_golden;
+    ("fast-forward = interpreter under seeded campaigns", `Quick,
+     test_fast_forward_matches_oracle);
+    ("fast-forward stops at the next fault", `Quick, test_fault_caps_skip);
+    ("fast-forward stops at the watchdog deadline", `Quick, test_watchdog_caps_skip);
   ]

@@ -437,9 +437,8 @@ let print_cache_diags cache =
 (* ---------------- build ---------------- *)
 
 let build_cmd =
-  let run file seed cache_dir max_mb resume kill sim =
+  let run file seed cache_dir max_mb resume kill =
     require_cache_dir ~resume cache_dir;
-    Soc_rtl_compile.Engine.set_default_backend sim;
     let spec = or_die (load file) in
     Printf.printf "effective seed: %d\n" seed;
     let missing =
@@ -475,15 +474,7 @@ let build_cmd =
       exit 1
     | { Soc_farm.Farm.builds = (_, b) :: _; _ } ->
       Option.iter Soc_farm.Journal.close journal;
-      (* Ship each accelerator's compiled simulator tape with the build: a
-         warm rebuild serves them back from the cache without lowering. *)
       if cache_dir <> None then begin
-        Soc_farm.Cache.enable_tape_cache cache;
-        List.iter
-          (fun (impl : Soc_core.Flow.node_impl) ->
-            Soc_rtl_compile.Engine.precompile
-              impl.Soc_core.Flow.accel.Soc_hls.Engine.fsmd.Soc_hls.Fsmd.netlist)
-          b.Soc_core.Flow.impls;
         print_endline (Soc_farm.Cache.render_stats cache);
         print_cache_diags cache
       end;
@@ -515,14 +506,13 @@ let build_cmd =
           With --cache-dir the run is crash-safe: progress is journaled, artifacts \
           are committed atomically, and --resume continues an interrupted run.")
     Term.(const run $ file_arg $ seed_arg $ cache_dir_arg $ cache_max_mb_arg
-          $ resume_arg $ kill_arg $ sim_arg)
+          $ resume_arg $ kill_arg)
 
 (* ---------------- farm ---------------- *)
 
 let farm_cmd =
-  let run files jobs cache_dir max_mb resume kill manifest trace_out seed sim =
+  let run files jobs cache_dir max_mb resume kill manifest trace_out seed =
     require_cache_dir ~resume cache_dir;
-    Soc_rtl_compile.Engine.set_default_backend sim;
     Printf.printf "effective seed: %d\n" seed;
     let entries =
       List.map
@@ -531,7 +521,6 @@ let farm_cmd =
         files
     in
     let cache = Soc_farm.Cache.create ?disk_dir:cache_dir ?max_mb () in
-    Soc_farm.Cache.enable_tape_cache cache;
     let journal = open_journal ~resume cache_dir in
     report_replay journal;
     match Soc_farm.Farm.build_batch ?jobs ~cache ?journal ?kill entries with
@@ -584,7 +573,7 @@ let farm_cmd =
           batch. With --cache-dir the batch is crash-safe: journaled progress, \
           atomic checksummed artifacts, --resume after any interruption.")
     Term.(const run $ files_arg $ jobs_arg $ cache_dir_arg $ cache_max_mb_arg
-          $ resume_arg $ kill_arg $ manifest_arg $ trace_arg $ seed_arg $ sim_arg)
+          $ resume_arg $ kill_arg $ manifest_arg $ trace_arg $ seed_arg)
 
 (* ---------------- explore ---------------- *)
 
@@ -772,7 +761,8 @@ let doctor_cmd =
        ~doc:
          "Check and repair a build cache: verify every artifact's integrity digest \
           (corrupt entries are quarantined, never deserialized), drop stale-format \
-          entries and orphaned temp files from interrupted commits, and verify + \
+          entries, compiled tapes left by older builds and orphaned temp files from \
+          interrupted commits, and verify + \
           compact the write-ahead journal. Never fails on corrupt input; exits 0 \
           once the cache is healthy.")
     Term.(const run $ dir_arg $ format_arg)
@@ -1089,8 +1079,7 @@ let client_cmd =
             Printf.printf
               "supervision: %d worker restart(s), %d watchdog fire(s), %d breaker key(s) open, %d sim fallback(s)\n"
               s.worker_restarts s.watchdog_fires s.breaker_open_keys s.sim_fallbacks;
-            Printf.printf "verifier: %d tape reject(s), %d cache re-verification(s)\n"
-              s.rtl_verify_rejects s.tape_reverifies;
+            Printf.printf "verifier: %d tape reject(s)\n" s.rtl_verify_rejects;
             Printf.printf "queue: %d deep, %d running\n" s.queue_depth s.running;
             Printf.printf
               "cache: %d hits, %d disk hits, %d misses (hit rate %.2f), %d engine run(s)\n"

@@ -10,12 +10,14 @@ type stats = {
   evictions : int;
 }
 
+(* Compiled simulators are no longer cache artifacts: they live in
+   {!Soc_rtl_compile.Csim}'s process-wide program table. These figures
+   stay for readers of the old record and always read zero. *)
 type tape_stats = { tape_hits : int; tape_disk_hits : int; tape_stores : int }
 
 type t = {
   lock : Mutex.t;
   mem : (string, Soc_hls.Engine.accel) Hashtbl.t;
-  tape_mem : (string, Soc_rtl_compile.Tape.t) Hashtbl.t;
   disk_dir : string option;
   max_bytes : int option;
   fsync : bool;
@@ -27,9 +29,6 @@ type t = {
   mutable stale : int;
   mutable quarantined : int;
   mutable evictions : int;
-  mutable tape_hits : int;
-  mutable tape_disk_hits : int;
-  mutable tape_stores : int;
   mutable stale_noted : bool;
   mutable diag_log : Diag.t list; (* reverse chronological *)
 }
@@ -38,7 +37,6 @@ let create ?disk_dir ?max_mb ?(fsync = false) () =
   {
     lock = Mutex.create ();
     mem = Hashtbl.create 32;
-    tape_mem = Hashtbl.create 32;
     disk_dir;
     max_bytes = Option.map (fun mb -> mb * 1024 * 1024) max_mb;
     fsync;
@@ -50,9 +48,6 @@ let create ?disk_dir ?max_mb ?(fsync = false) () =
     stale = 0;
     quarantined = 0;
     evictions = 0;
-    tape_hits = 0;
-    tape_disk_hits = 0;
-    tape_stores = 0;
     stale_noted = false;
     diag_log = [];
   }
@@ -78,8 +73,8 @@ let protect t key = locked t (fun () -> Hashtbl.replace t.protected_ (Chash.to_h
 (* Disk layer                                                          *)
 (* ------------------------------------------------------------------ *)
 
-(* On-disk entry layout, shared by every artifact kind: one text header
-   line followed by the raw payload. The header carries everything needed
+(* On-disk entry layout: one text header line followed by the raw
+   payload (a marshalled accelerator). The header carries everything needed
    to read the payload back defensively:
 
      soc-accel <format_version> <payload digest> <payload length>\n
@@ -90,36 +85,13 @@ let protect t key = locked t (fun () -> Hashtbl.replace t.protected_ (Chash.to_h
 
 let header_magic = "soc-accel"
 
-(* What differs between the artifact kinds on disk: the file extension,
-   the payload loader (raises on a payload it cannot load) and the words
-   diagnostics use for the artifact and its rebuild. Compiled simulator
-   tapes are keyed by the netlist's content hash
-   ({!Soc_rtl_compile.Tape.netlist_key}); their payload is the tape's own
-   versioned text format — never Marshal. *)
-type 'a kind = {
-  ext : string;
-  load : string -> 'a;
-  noun : string;
-  rebuild : string;
-}
+let ext = ".accel"
 
-let accel_kind : Soc_hls.Engine.accel kind =
-  {
-    ext = ".accel";
-    load = (fun payload -> Marshal.from_string payload 0);
-    noun = "artifact";
-    rebuild = "re-synthesizing";
-  }
+(* Compiled simulator tapes were once cached here, as [.tape] entries;
+   {!fsck} removes any that an older build left behind. *)
+let old_tape_ext = ".tape"
 
-let tape_kind =
-  {
-    ext = ".tape";
-    load = Soc_rtl_compile.Tape.deserialize;
-    noun = "compiled tape";
-    rebuild = "re-lowering";
-  }
-
-let entry_path kind dir key_hex = Filename.concat dir (key_hex ^ kind.ext)
+let entry_path dir key_hex = Filename.concat dir (key_hex ^ ext)
 
 let ensure_dir dir = if not (Sys.file_exists dir) then Unix.mkdir dir 0o755
 
@@ -132,14 +104,14 @@ let encode_entry payload =
 (* What reading an entry file can yield: corruption (quarantine) is told
    apart from staleness (rebuild, leave the file for the next store to
    replace). *)
-type 'a inspected =
-  | Loaded of 'a
+type inspected =
+  | Loaded of Soc_hls.Engine.accel
   | Stale of string (* the format version found *)
   | Bad of (string * string) (* diagnostic code, reason *)
   | Missing
 
 (* Read, verify and load one entry file. Never raises. *)
-let inspect kind path =
+let inspect path =
   match In_channel.with_open_bin path In_channel.input_all with
   | exception _ -> if Sys.file_exists path then Bad ("IO400", "unreadable") else Missing
   | raw -> (
@@ -163,7 +135,7 @@ let inspect kind path =
                 corrupt "payload digest mismatch"
               else if version <> Chash.format_version then Stale version
               else (
-                match kind.load payload with
+                match Marshal.from_string payload 0 with
                 | v -> Loaded v
                 | exception _ -> corrupt "payload fails to load"))
       | _ -> corrupt "malformed header"))
@@ -173,7 +145,7 @@ let inspect kind path =
    never be read as a hit again. If it cannot be moved it is deleted.
    Returns a diagnostic saying which happened; [suffix] ends its
    message. *)
-let quarantine kind ~dir path (code, reason) ~suffix =
+let quarantine ~dir path (code, reason) ~suffix =
   let outcome =
     try
       let qdir = Filename.concat dir "quarantine" in
@@ -187,7 +159,7 @@ let quarantine kind ~dir path (code, reason) ~suffix =
       "removed"
   in
   Diag.warning ~code ~subject:(Filename.basename path)
-    (Printf.sprintf "corrupt %s (%s); %s%s" kind.noun reason outcome suffix)
+    (Printf.sprintf "corrupt artifact (%s); %s%s" reason outcome suffix)
 
 let stale_diag ~subject version action =
   Diag.info ~code:"IO402" ~subject
@@ -195,12 +167,12 @@ let stale_diag ~subject version action =
 
 (* Lock held. A verified entry is loaded and touched (LRU bookkeeping); a
    stale one is counted and noted once per run; a bad one is quarantined. *)
-let disk_read t kind key_hex =
+let disk_read t key_hex =
   match t.disk_dir with
   | None -> None
   | Some dir -> (
-    let path = entry_path kind dir key_hex in
-    match inspect kind path with
+    let path = entry_path dir key_hex in
+    match inspect path with
     | Loaded v ->
       (try Unix.utimes path 0.0 0.0 with _ -> ());
       Some v
@@ -211,12 +183,12 @@ let disk_read t kind key_hex =
         t.stale_noted <- true;
         log_diag t
           (stale_diag ~subject:(Filename.basename path) version
-             (kind.rebuild ^ " (reported once per run)"))
+             "re-synthesizing (reported once per run)")
       end;
       None
     | Bad bad ->
       t.quarantined <- t.quarantined + 1;
-      log_diag t (quarantine kind ~dir path bad ~suffix:("; " ^ kind.rebuild));
+      log_diag t (quarantine ~dir path bad ~suffix:"; re-synthesizing");
       None)
 
 (* ------------------------------------------------------------------ *)
@@ -231,7 +203,7 @@ let enforce_cap t =
     let entries =
       Array.to_list (Sys.readdir dir)
       |> List.filter_map (fun name ->
-             if not (Filename.check_suffix name accel_kind.ext) then None
+             if not (Filename.check_suffix name ext) then None
              else
                let path = Filename.concat dir name in
                match Unix.stat path with
@@ -248,7 +220,7 @@ let enforce_cap t =
       let excess = ref (total - cap) in
       List.iter
         (fun (path, name, sz, _) ->
-          let key_hex = Filename.chop_suffix name accel_kind.ext in
+          let key_hex = Filename.chop_suffix name ext in
           if !excess > 0 && not (Hashtbl.mem t.protected_ key_hex) then begin
             match Sys.remove path with
             | () ->
@@ -267,60 +239,18 @@ let enforce_cap t =
 (* Lock held. Best-effort: a failed write leaves the memory layer
    authoritative. [payload] is only forced when there is a disk dir, so a
    memory-only cache never serializes; [written] runs after a commit. *)
-let disk_write ?(written = ignore) t kind key_hex payload =
+let disk_write ?(written = ignore) t key_hex payload =
   match t.disk_dir with
   | None -> ()
   | Some dir -> (
     try
       ensure_dir dir;
-      Soc_util.Atomic_io.write_file ~fsync:t.fsync (entry_path kind dir key_hex)
+      Soc_util.Atomic_io.write_file ~fsync:t.fsync (entry_path dir key_hex)
         (encode_entry (payload ()));
       written ()
     with _ -> ())
 
-(* ------------------------------------------------------------------ *)
-(* Compiled-tape layer                                                 *)
-(* ------------------------------------------------------------------ *)
-
-(* Compiled simulator tapes are artifacts too, so a warm farm or serve
-   round instantiates simulators without lowering a single netlist. *)
-
-let find_tape t ~key =
-  locked t (fun () ->
-      match Hashtbl.find_opt t.tape_mem key with
-      | Some tape ->
-        t.tape_hits <- t.tape_hits + 1;
-        Some tape
-      | None -> (
-        match disk_read t tape_kind key with
-        | Some tape ->
-          t.tape_disk_hits <- t.tape_disk_hits + 1;
-          Hashtbl.replace t.tape_mem key tape;
-          Some tape
-        | None -> None))
-
-let store_tape t ~key tape =
-  locked t (fun () ->
-      if not (Hashtbl.mem t.tape_mem key) then begin
-        Hashtbl.replace t.tape_mem key tape;
-        t.tape_stores <- t.tape_stores + 1;
-        disk_write t tape_kind key (fun () -> Soc_rtl_compile.Tape.serialize tape)
-      end)
-
-let tape_stats t =
-  locked t (fun () ->
-      { tape_hits = t.tape_hits; tape_disk_hits = t.tape_disk_hits; tape_stores = t.tape_stores })
-
-(* Route the compiled simulator backend's lookups through this cache:
-   every netlist compiled from now on lands here, and warm rounds skip
-   lowering entirely. *)
-let enable_tape_cache t =
-  Soc_rtl_compile.Engine.install_tape_cache
-    (Some
-       {
-         Soc_rtl_compile.Engine.tc_find = (fun ~key -> find_tape t ~key);
-         tc_store = (fun ~key tape -> store_tape t ~key tape);
-       })
+let tape_stats _ = { tape_hits = 0; tape_disk_hits = 0; tape_stores = 0 }
 
 (* ------------------------------------------------------------------ *)
 (* Lookup / memoized synthesis                                         *)
@@ -333,7 +263,7 @@ let find_locked t key =
     t.hits <- t.hits + 1;
     Some a
   | None -> (
-    match disk_read t accel_kind (Chash.to_hex key) with
+    match disk_read t (Chash.to_hex key) with
     | Some a ->
       t.disk_hits <- t.disk_hits + 1;
       Hashtbl.replace t.mem (Chash.to_hex key) a;
@@ -348,27 +278,17 @@ let store t key accel =
   locked t (fun () ->
       if not (Hashtbl.mem t.mem (Chash.to_hex key)) then begin
         Hashtbl.replace t.mem (Chash.to_hex key) accel;
-        disk_write t accel_kind (Chash.to_hex key)
+        disk_write t (Chash.to_hex key)
           (fun () -> Marshal.to_string accel [])
           ~written:(fun () ->
             t.stores <- t.stores + 1;
             enforce_cap t)
       end)
 
-(* When a tape cache is routed through us (see [enable_tape_cache]), pay
-   the netlist-lowering cost at synthesis time: by the time anything
-   instantiates this accelerator — this process or a later warm round —
-   the compiled tape is already an artifact and lowering is skipped. *)
-let precompile_tape (a : Soc_hls.Engine.accel) =
-  try Soc_rtl_compile.Engine.precompile a.Soc_hls.Engine.fsmd.Soc_hls.Fsmd.netlist
-  with _ -> ()
-
 let synthesize t ~config kernel =
   let key = Chash.kernel ~config kernel in
   match locked t (fun () -> find_locked t key) with
-  | Some a ->
-    precompile_tape a;
-    (`Hit, a)
+  | Some a -> (`Hit, a)
   | None ->
     (* Synthesize outside the lock: concurrent HLS of *different* kernels
        must proceed in parallel. Two racing misses on the same key both
@@ -377,7 +297,6 @@ let synthesize t ~config kernel =
     let accel = Soc_hls.Engine.synthesize ~config kernel in
     locked t (fun () -> t.misses <- t.misses + 1);
     store t key accel;
-    precompile_tape accel;
     (`Miss, accel)
 
 let hls_engine t : Soc_core.Flow.hls_engine =
@@ -397,14 +316,6 @@ let render_stats t =
     (if s.stale > 0 then Printf.sprintf ", %d stale" s.stale else "")
     (if s.quarantined > 0 then Printf.sprintf ", %d quarantined" s.quarantined else "")
     (if s.evictions > 0 then Printf.sprintf ", %d evicted" s.evictions else "")
-  ^
-  let ts = tape_stats t in
-  if ts.tape_hits + ts.tape_disk_hits + ts.tape_stores = 0 then ""
-  else
-    Printf.sprintf "; tapes: %d hit%s, %d disk hit%s, %d stored"
-      ts.tape_hits (if ts.tape_hits = 1 then "" else "s")
-      ts.tape_disk_hits (if ts.tape_disk_hits = 1 then "" else "s")
-      ts.tape_stores
 
 (* ------------------------------------------------------------------ *)
 (* Offline fsck                                                        *)
@@ -423,10 +334,10 @@ let fsck ~dir =
   let checked = ref 0 and ok = ref 0 in
   let quarantined = ref [] and stale = ref [] and orphans = ref [] and diags = ref [] in
   let note d = diags := d :: !diags in
-  let check kind name =
+  let check name =
     incr checked;
     let path = Filename.concat dir name in
-    match inspect kind path with
+    match inspect path with
     | Loaded _ -> incr ok
     | Missing -> () (* removed while we looked: nothing to repair *)
     | Stale version ->
@@ -435,7 +346,7 @@ let fsck ~dir =
       note (stale_diag ~subject:name version "removed")
     | Bad bad ->
       quarantined := name :: !quarantined;
-      note (quarantine kind ~dir path bad ~suffix:"")
+      note (quarantine ~dir path bad ~suffix:"")
   in
   (if Sys.file_exists dir && Sys.is_directory dir then
      Array.iter
@@ -447,8 +358,15 @@ let fsck ~dir =
              (Diag.info ~code:"IO404" ~subject:name
                 "orphaned temp file from an interrupted commit; removed")
          end
-         else if Filename.check_suffix name tape_kind.ext then check tape_kind name
-         else if Filename.check_suffix name accel_kind.ext then check accel_kind name)
+         else if Filename.check_suffix name old_tape_ext then begin
+           incr checked;
+           stale := name :: !stale;
+           (try Sys.remove (Filename.concat dir name) with _ -> ());
+           note
+             (Diag.info ~code:"IO402" ~subject:name
+                "compiled tape from an older build (tapes are no longer cached); removed")
+         end
+         else if Filename.check_suffix name ext then check name)
        (Sys.readdir dir));
   {
     fsck_checked = !checked;

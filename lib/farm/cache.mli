@@ -70,25 +70,18 @@ val hls_engine : t -> Soc_core.Flow.hls_engine
 
 (** {2 Compiled simulator tapes}
 
-    Compiled netlist tapes ({!Soc_rtl_compile.Tape}) are cached artifacts
-    too: keyed by the netlist's content hash, stored as [.tape] entries
-    under the same verified header (digest-checked, quarantined when
-    corrupt, version-gated — the payload is the tape's own versioned text
-    format, never [Marshal]). *)
+    Compiled simulators are not cached here: each process lowers a
+    netlist once, into {!Soc_rtl_compile.Csim}'s program table. *)
 
 type tape_stats = {
-  tape_hits : int;  (** in-memory tape hits *)
-  tape_disk_hits : int;  (** tape hits served from the verified disk layer *)
-  tape_stores : int;  (** tapes compiled and stored this run *)
+  tape_hits : int;
+  tape_disk_hits : int;
+  tape_stores : int;
 }
 
 val tape_stats : t -> tape_stats
-
-val enable_tape_cache : t -> unit
-(** Route {!Soc_rtl_compile.Engine}'s compiled-backend lookups through this
-    cache. Combined with the precompile-at-synthesis hook in {!synthesize},
-    a warm round instantiates every simulator from cached tapes — zero
-    lowering (observable via {!Soc_rtl_compile.Engine.lowering_count}). *)
+(** Always zero: kept for readers of the figures from when compiled
+    tapes were cache artifacts. *)
 
 val render_stats : t -> string
 (** One-line summary, e.g. for CLI output. *)
@@ -107,6 +100,7 @@ type fsck_report = {
 val fsck : dir:string -> fsck_report
 (** Verify every artifact in [dir] without a live cache: digest-check each
     entry (corrupt ones are quarantined — [IO400]/[IO401]), remove entries
-    from older format versions ([IO402]) and orphaned temp files left by
-    interrupted commits ([IO404]). Never raises on malformed content; the
+    from older format versions and compiled-tape ([.tape]) entries left by
+    older builds ([IO402]), and orphaned temp files left by interrupted
+    commits ([IO404]). Never raises on malformed content; the
     report's diags say exactly what was repaired. *)

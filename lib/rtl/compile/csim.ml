@@ -29,14 +29,15 @@
     recompute the same store, so [settle] returns at once and [tick] only
     counts the cycle. {!set_input} of an equal value keeps the flags.
 
-    The dispatch loop uses unsafe array accesses, so {!of_tape} validates
-    every slot index and segment range of a (possibly cache-loaded) tape
-    up front and raises {!Tape_mismatch} instead of corrupting memory. *)
+    The dispatch loop uses unsafe array accesses, so every tape is
+    checked before its program is built: each slot index and segment
+    range is validated up front, and {!Tape_mismatch} is raised instead of
+    corrupting memory. *)
 
 module Netlist = Soc_rtl.Netlist
 
 exception Tape_mismatch of string
-(** A cached tape does not fit the netlist it was looked up for. *)
+(** A tape does not fit the netlist it is instantiated against. *)
 
 (* One specialized tick program (see {!Opt.specialize_tick}): same layout
    as the generic tick arrays, already partial-evaluated against one value
@@ -243,12 +244,11 @@ let pack_variant (mems_arr : Netlist.mem array) (sp : Opt.tick_spec) =
     v_reg;
     v_mem }
 
-(* Check a (possibly cache-loaded) tape against the netlist it was looked
-   up for. Memory geometry and backing arrays come from the netlist (the
-   tape is content-addressed by the netlist, so they can never disagree on
-   a cache hit — these checks catch a corrupt or mis-keyed entry), and
-   every slot index and segment range is bounds-checked here because the
-   dispatch loop runs unchecked. *)
+(* Check a tape against the netlist it is instantiated against. Memory
+   geometry and backing arrays come from the netlist (these checks catch
+   a tape lowered from another netlist, or a corrupt one), and every slot
+   index and segment range is bounds-checked here because the dispatch
+   loop runs unchecked. *)
 let check_tape (tape : Tape.t) (net : Netlist.t) =
   if tape.n_signals <> Netlist.signal_count net then
     raise (Tape_mismatch "signal count");
@@ -366,13 +366,17 @@ let build_program (tape : Tape.t) (net : Netlist.t) =
 (* ------------------------------------------------------------------ *)
 
 (* Programs live for the whole process in a small fixed-capacity table
-   keyed by {!Tape.netlist_key}, oldest entry evicted first. An entry is
-   reused only for a structurally equal tape: the same netlist lowered
-   with other observed signals is another program, with its own entry.
+   keyed by {!Tape.netlist_key}, oldest entry evicted first. It is the
+   only store of compiled simulators. An entry is reused only for a
+   structurally equal tape: the same netlist lowered with other observed
+   signals is another program, with its own entry. An entry lowered from
+   the default observe set is [plain]; {!shared} reuses only those.
    Building happens under the lock, so concurrent instantiations of one
    netlist build its program once. *)
+type entry = { e_key : string; e_plain : bool; e_prog : program }
+
 let table_capacity = 64
-let table : (string * program) option array = Array.make table_capacity None
+let table : entry option array = Array.make table_capacity None
 let table_next = ref 0
 let table_lock = Mutex.create ()
 
@@ -384,31 +388,26 @@ let clear_programs () =
       Array.fill table 0 table_capacity None;
       table_next := 0)
 
-let program_for ~key (tape : Tape.t) net =
-  Mutex.protect table_lock (fun () ->
-      let rec find i =
-        if i = table_capacity then None
-        else
-          match table.(i) with
-          | Some (k, p) when String.equal k key && (p.tape == tape || p.tape = tape) -> Some p
-          | _ -> find (i + 1)
-      in
-      match find 0 with
-      | Some p -> p
-      | None ->
-        let p = build_program tape net in
-        Atomic.incr builds;
-        table.(!table_next) <- Some (key, p);
-        table_next := (!table_next + 1) mod table_capacity;
-        p)
+(* Lock held. *)
+let find_program p =
+  let rec go i =
+    if i = table_capacity then None
+    else match table.(i) with Some e when p e -> Some e.e_prog | _ -> go (i + 1)
+  in
+  go 0
 
-(* Instantiate a compiled tape against the netlist it was lowered from:
-   check it, fetch (or build) its program, and give the instance fresh
-   state. *)
-let of_tape (tape : Tape.t) (net : Netlist.t) =
-  check_tape tape net;
-  let prog = program_for ~key:(Tape.netlist_key net) tape net in
-  let n_regs = Array.length tape.reg_commits and n_mems = Array.length tape.mem_commits in
+(* Lock held. *)
+let add_program ~key ~plain tape net =
+  let prog = build_program tape net in
+  Atomic.incr builds;
+  table.(!table_next) <- Some { e_key = key; e_plain = plain; e_prog = prog };
+  table_next := (!table_next + 1) mod table_capacity;
+  prog
+
+(* Fresh instance state over a shared program. *)
+let instance prog =
+  let n_regs = Array.length prog.tape.reg_commits
+  and n_mems = Array.length prog.tape.mem_commits in
   {
     prog;
     store = Array.copy prog.store_init;
@@ -420,6 +419,23 @@ let of_tape (tape : Tape.t) (net : Netlist.t) =
     settled = false;
     quiet = false;
   }
+
+(* Instantiate a compiled tape against the netlist it was lowered from:
+   check it, fetch (or build) its program, and give the instance fresh
+   state. *)
+let instantiate ~plain (tape : Tape.t) (net : Netlist.t) =
+  check_tape tape net;
+  let key = Tape.netlist_key net in
+  instance
+    (Mutex.protect table_lock (fun () ->
+         match
+           find_program (fun e ->
+               String.equal e.e_key key && (e.e_prog.tape == tape || e.e_prog.tape = tape))
+         with
+         | Some p -> p
+         | None -> add_program ~key ~plain tape net))
+
+let of_tape tape net = instantiate ~plain:false tape net
 
 (* The verified compilation pipeline: lower, validate the lowering, then
    run the optimizer with the translation validator checkpointed after
@@ -439,7 +455,23 @@ let compile_tape ?observe net =
   Verify.check ~stage:"lower" ~ctx tape;
   Opt.run ~checkpoint:(fun stage t -> Verify.check ~stage ~ctx t) tape
 
-let create ?observe net = of_tape (compile_tape ?observe net) net
+let create ?(observe = []) net =
+  instantiate ~plain:(observe = []) (compile_tape ~observe net) net
+
+(* An instance of [net]'s plain program, [key] being its
+   {!Tape.netlist_key}. On a miss [lower] makes the tape (it is expected
+   to be {!compile_tape}), which is checked and built into the table,
+   all under the lock: concurrent instantiations of one netlist lower it
+   once, and a hit lowers nothing. *)
+let shared ~key ~lower net =
+  instance
+    (Mutex.protect table_lock (fun () ->
+         match find_program (fun e -> e.e_plain && String.equal e.e_key key) with
+         | Some p -> p
+         | None ->
+           let tape = lower () in
+           check_tape tape net;
+           add_program ~key ~plain:true tape net))
 
 let tape t = t.prog.tape
 let stats t = t.prog.tape.stats

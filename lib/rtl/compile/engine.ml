@@ -4,12 +4,11 @@
     The compiled backend is the process-wide default — the interpreter
     remains available as the differential oracle and via [--sim interp].
 
-    Farm integration is dependency-injected: the compile library knows
-    nothing about lib/farm; the farm installs a {!tape_cache} here and
-    compiled tapes become content-addressed artifacts keyed by
-    {!Tape.netlist_key}. With a cache installed, warm rounds skip lowering
-    entirely — [lowering_count] exposes the miss counter so callers can
-    assert exactly that. *)
+    A netlist is lowered at most once per process: its compiled program
+    lives in {!Csim}'s program table, keyed by {!Tape.netlist_key}, and
+    every later instantiation is a fresh instance of that program.
+    [lowering_count] counts the real lowerings, so callers can assert
+    exactly that. *)
 
 module Netlist = Soc_rtl.Netlist
 module Sim = Soc_rtl.Sim
@@ -27,35 +26,24 @@ let default = ref Compiled
 let set_default_backend b = default := b
 let default_backend () = !default
 
-type tape_cache = {
-  tc_find : key:string -> Tape.t option;
-  tc_store : key:string -> Tape.t -> unit;
-}
+let lowerings = Atomic.make 0
+let lowering_count () = Atomic.get lowerings
 
-let cache : tape_cache option ref = ref None
-let install_tape_cache c = cache := c
-
-let lowerings = ref 0
-let lowering_count () = !lowerings
-
-(* Degradation ladder: a netlist the compiled backend cannot lower (or
-   load) falls back to the reference interpreter instead of failing the
-   build — the service-level mirror of the executive's hw -> sw ladder.
-   Keys that failed once are remembered so repeated instantiations skip
-   straight to the interpreter; every fallback is counted for the
-   daemon's supervision stats. *)
+(* Degradation ladder: a netlist the compiled backend cannot lower falls
+   back to the reference interpreter instead of failing the build — the
+   service-level mirror of the executive's hw -> sw ladder. Keys that
+   failed once are remembered so repeated instantiations skip straight
+   to the interpreter; every fallback is counted for the daemon's
+   supervision stats. *)
 let fallbacks = Atomic.make 0
 let fallback_count () = Atomic.get fallbacks
 
-(* Translation-validator bookkeeping: every tape rejected by {!Verify}
-   (fresh lowering or cache load) is counted and its diagnostic kept in a
-   small newest-first ring so the daemon's stats and the CLI can report
-   *which pass* miscompiled, not just that something fell back. *)
+(* Translation-validator bookkeeping: every tape rejected by {!Verify} is
+   counted and its diagnostic kept in a small newest-first ring so the
+   daemon's stats and the CLI can report *which pass* miscompiled, not
+   just that something fell back. *)
 let verify_rejects = Atomic.make 0
 let verify_reject_count () = Atomic.get verify_rejects
-
-let reverifies = Atomic.make 0
-let reverify_count () = Atomic.get reverifies
 
 let verify_log_lock = Mutex.create ()
 let verify_log : Soc_util.Diag.t list ref = ref []
@@ -103,89 +91,39 @@ let clear_degraded () =
   Hashtbl.reset degraded_tbl;
   Mutex.unlock degraded_lock
 
-exception Degraded of string
-(* Internal: this key already failed to compile; [create] catches it. *)
-
 type t = Interp_sim of Sim.t | Compiled_sim of Csim.t
 
 let backend_of = function Interp_sim _ -> Interp | Compiled_sim _ -> Compiled
 
-let compile net =
-  let fresh () =
-    Soc_fault.Fault.Service.step Soc_fault.Fault.Service.Csim ();
-    incr lowerings;
-    Csim.create net
-  in
-  match !cache with
-  | None -> fresh ()
-  | Some c ->
-    let key = Tape.netlist_key net in
-    if degraded_key key then raise (Degraded key);
-    (match c.tc_find ~key with
-    | Some tape -> (
-      (* A deserialized tape is untrusted until re-verified — the unsafe
-         dispatch loop must never run a tape that only *looks* like the
-         one that was stored. A mismatched or invalid entry (corrupt
-         store, key collision) must never take the simulation down —
-         note it and recompile over it. *)
-      Atomic.incr reverifies;
-      match Verify.check ~stage:"cache-load" ~net tape with
-      | () -> (
-        try Csim.of_tape tape net
-        with Csim.Tape_mismatch _ | Tape.Parse_error _ ->
-          let csim = fresh () in
-          c.tc_store ~key (Csim.tape csim);
-          csim)
-      | exception Verify.Tape_invalid err ->
-        note_verify_failure err;
-        let csim = fresh () in
-        c.tc_store ~key (Csim.tape csim);
-        csim)
-    | None ->
-      let csim = fresh () in
-      c.tc_store ~key (Csim.tape csim);
-      csim)
+(* A real lowering: the only place the {!Soc_fault.Fault.Service.Csim}
+   point fires and [lowerings] grows. *)
+let lower net () =
+  Soc_fault.Fault.Service.step Soc_fault.Fault.Service.Csim ();
+  Atomic.incr lowerings;
+  Csim.compile_tape net
 
-(* Precompile a netlist into the installed cache (no simulator needed):
-   lets the farm pay the lowering cost at synthesis time so later
-   instantiations — including in other processes — are pure cache hits.
-   A lowering failure here is absorbed into the ladder: the key is
-   marked degraded, the fallback counted, and the build carries on with
-   the interpreter at instantiation time. *)
-let precompile net =
-  match !cache with
-  | None -> ()
-  | Some c ->
-    let key = Tape.netlist_key net in
-    if (not (degraded_key key)) && c.tc_find ~key = None then begin
-      match
-        Soc_fault.Fault.Service.step Soc_fault.Fault.Service.Csim ();
-        incr lowerings;
-        Csim.compile_tape net
-      with
-      | tape -> c.tc_store ~key tape
-      | exception (Soc_fault.Fault.Killed _ as e) -> raise e
-      | exception e ->
-        (match e with Verify.Tape_invalid err -> note_verify_failure err | _ -> ());
-        mark_degraded key;
-        Atomic.incr fallbacks
-    end
+let fall_back net =
+  Atomic.incr fallbacks;
+  Interp_sim (Sim.create net)
 
 let create ?backend net =
   match (match backend with Some b -> b | None -> !default) with
   | Interp -> Interp_sim (Sim.create net)
   | Compiled -> (
-    try Compiled_sim (compile net) with
-    | Soc_fault.Fault.Killed _ as e -> raise e
-    | e ->
-      (* The compiled backend is an optimization, never a single point of
-         failure: remember the bad key, count the fallback, and serve the
-         same netlist from the interpreter. A verifier rejection rides
-         the same ladder, with its pass-attributed diagnostic kept. *)
-      (match e with Verify.Tape_invalid err -> note_verify_failure err | _ -> ());
-      (match e with Degraded _ -> () | _ -> mark_degraded (Tape.netlist_key net));
-      Atomic.incr fallbacks;
-      Interp_sim (Sim.create net))
+    let key = Tape.netlist_key net in
+    if degraded_key key then fall_back net
+    else
+      try Compiled_sim (Csim.shared ~key ~lower:(lower net) net) with
+      | Soc_fault.Fault.Killed _ as e -> raise e
+      | e ->
+        (* The compiled backend is an optimization, never a single point
+           of failure: remember the bad key, count the fallback, and
+           serve the same netlist from the interpreter. A verifier
+           rejection rides the same ladder, with its pass-attributed
+           diagnostic kept. *)
+        (match e with Verify.Tape_invalid err -> note_verify_failure err | _ -> ());
+        mark_degraded key;
+        fall_back net)
 
 let set_input t s v =
   match t with

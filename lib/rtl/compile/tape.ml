@@ -308,9 +308,8 @@ let lower ?(observe = []) (net : Netlist.t) =
 (* ------------------------------------------------------------------ *)
 
 (* Same digest construction as the farm's Chash (FNV-1a 64), computed here
-   so the compile library stays independent of lib/farm — the farm injects
-   its cache through {!Engine.install_tape_cache}, not the other way
-   round. *)
+   so the compile library stays independent of lib/farm. The key names a
+   netlist in {!Csim}'s program table. *)
 let fnv_offset = 0xcbf29ce484222325L
 let fnv_prime = 0x100000001b3L
 
@@ -383,124 +382,3 @@ let netlist_key (net : Netlist.t) =
         Array.iter (add_int buf) a))
     (List.rev net.mems);
   digest_bytes (Buffer.contents buf)
-
-(* ------------------------------------------------------------------ *)
-(* Serialization (cache payload)                                       *)
-(* ------------------------------------------------------------------ *)
-
-(* Versioned, explicit decimal text — no Marshal, so a cache entry from a
-   different compiler version is a parse error (-> miss), never a segfault.
-   Integrity is the Cache layer's job (digested header); this format only
-   needs to be unambiguous. *)
-let format_version = "soc-tape-v1"
-
-let serialize (t : t) =
-  let buf = Buffer.create (4096 + (24 * (Array.length t.settle + Array.length t.tick))) in
-  let line fmt = Printf.ksprintf (fun s -> Buffer.add_string buf s; Buffer.add_char buf '\n') fmt in
-  line "%s" format_version;
-  line "mod %s" t.mod_name;
-  line "slots %d %d" t.n_signals t.n_slots;
-  line "consts %d" (Array.length t.consts);
-  Array.iter (fun (s, v) -> line "%d %d" s v) t.consts;
-  let code name arr =
-    line "%s %d" name (Array.length arr);
-    Array.iter (fun i -> line "%d %d %d %d %d %d" i.op i.dst i.a i.b i.c i.msk) arr
-  in
-  code "settle" t.settle;
-  code "tick" t.tick;
-  line "prologue %d" t.prologue;
-  line "regs %d" (Array.length t.reg_commits);
-  Array.iter
-    (fun r ->
-      line "%d %d %d %d %d %d" r.rc_q r.rc_next r.rc_en r.rc_reset r.rc_off r.rc_len)
-    t.reg_commits;
-  line "mems %d" (Array.length t.mem_commits);
-  Array.iter
-    (fun m ->
-      line "%d %d %d %d %d %d %d %d" m.mc_mem m.mc_raddr m.mc_wen m.mc_waddr
-        m.mc_wdata m.mc_rdata m.mc_off m.mc_len)
-    t.mem_commits;
-  line "keep %d" (Array.length t.keep);
-  Array.iter (fun k -> line "%d" k) t.keep;
-  line "stats %d %d %d %d %d %d" t.stats.lowered t.stats.folded t.stats.mux_selected
-    t.stats.cse_hits t.stats.dce_removed t.stats.final;
-  Buffer.contents buf
-
-exception Parse_error of string
-
-let deserialize s =
-  let lines = String.split_on_char '\n' s in
-  let rest = ref lines in
-  let next () =
-    match !rest with
-    | [] -> raise (Parse_error "truncated tape")
-    | l :: tl -> rest := tl; l
-  in
-  let fail what = raise (Parse_error ("bad " ^ what)) in
-  let ints_of l = List.filter_map int_of_string_opt (String.split_on_char ' ' l) in
-  (* In-order element reader ([Array.init] does not guarantee call order). *)
-  let read_n n f =
-    if n = 0 then [||]
-    else begin
-      let arr = Array.make n (f ()) in
-      for i = 1 to n - 1 do
-        arr.(i) <- f ()
-      done;
-      arr
-    end
-  in
-  let counted what =
-    match String.split_on_char ' ' (next ()) with
-    | [ tag; n ] when tag = what -> (match int_of_string_opt n with Some n when n >= 0 -> n | _ -> fail what)
-    | _ -> fail what
-  in
-  if next () <> format_version then fail "version";
-  let mod_name =
-    let l = next () in
-    if String.length l >= 4 && String.sub l 0 4 = "mod " then String.sub l 4 (String.length l - 4)
-    else fail "mod"
-  in
-  let n_signals, n_slots =
-    match String.split_on_char ' ' (next ()) with
-    | [ "slots"; a; b ] -> (int_of_string a, int_of_string b)
-    | _ -> fail "slots"
-  in
-  let consts =
-    read_n (counted "consts") (fun () ->
-        match ints_of (next ()) with [ s; v ] -> (s, v) | _ -> fail "const")
-  in
-  let code what =
-    read_n (counted what) (fun () ->
-        match ints_of (next ()) with
-        | [ op; dst; a; b; c; msk ] -> { op; dst; a; b; c; msk }
-        | _ -> fail "instr")
-  in
-  let settle = code "settle" in
-  let tick = code "tick" in
-  let prologue = counted "prologue" in
-  let reg_commits =
-    read_n (counted "regs") (fun () ->
-        match ints_of (next ()) with
-        | [ rc_q; rc_next; rc_en; rc_reset; rc_off; rc_len ] ->
-          { rc_q; rc_next; rc_en; rc_reset; rc_off; rc_len }
-        | _ -> fail "reg")
-  in
-  let mem_commits =
-    read_n (counted "mems") (fun () ->
-        match ints_of (next ()) with
-        | [ mc_mem; mc_raddr; mc_wen; mc_waddr; mc_wdata; mc_rdata; mc_off; mc_len ] ->
-          { mc_mem; mc_raddr; mc_wen; mc_waddr; mc_wdata; mc_rdata; mc_off; mc_len }
-        | _ -> fail "mem")
-  in
-  let keep =
-    read_n (counted "keep") (fun () ->
-        match ints_of (next ()) with [ k ] -> k | _ -> fail "keep")
-  in
-  let stats =
-    match ints_of (next ()) with
-    | [ lowered; folded; mux_selected; cse_hits; dce_removed; final ] ->
-      { lowered; folded; mux_selected; cse_hits; dce_removed; final }
-    | _ -> fail "stats"
-  in
-  { mod_name; n_signals; n_slots; consts; settle; tick; prologue; reg_commits;
-    mem_commits; keep; stats }

@@ -1,9 +1,8 @@
 (** Static translation validator for {!Tape} programs.
 
     The compiled backend's dispatch loop runs unchecked array accesses
-    against a tape produced by lowering, four optimizer passes and
-    possibly a round-trip through the on-disk farm cache. Each of those
-    stages is a chance to miscompile; this module checks the structural
+    against a tape produced by lowering and four optimizer passes. Each
+    of those stages is a chance to miscompile; this module checks the structural
     invariants the executor's correctness argument rests on, so a broken
     tape is rejected as a structured [RTL51x] diagnostic {e before} the
     unsafe dispatch trusts it — and, because {!Opt.run} checkpoints after
@@ -31,8 +30,8 @@
     - RTL517 — single assignment: no slot is written twice across the
       settle tape, or twice across the tick tape.
 
-    [check] is linear in tape size with small constants — the build farm
-    runs it after every pass on every netlist, and the cosim bench
+    [check] is linear in tape size with small constants — every lowering
+    runs it after every pass, and the cosim bench
     asserts its cost stays under 5% of lowering. *)
 
 module Netlist = Soc_rtl.Netlist

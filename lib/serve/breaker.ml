@@ -33,7 +33,7 @@ type t = {
 type verdict =
   | Admit
   | Probe  (* half-open: this caller carries the single probe *)
-  | Reject of float  (* seconds of cooldown remaining *)
+  | Reject of float  (* seconds until the key may be admitted again *)
 
 let create ?(clock = Unix.gettimeofday) ~threshold ~cooldown_ms () =
   { clock; threshold; cooldown = float_of_int cooldown_ms /. 1000.0;
@@ -54,11 +54,10 @@ let check t key =
         in
         match Hashtbl.find_opt t.tbl key with
         | None | Some (Closed _) -> Admit
-        | Some (Half_open issued_at) ->
-          (* a probe is in flight, unless it is overdue and so lost *)
-          if now -. issued_at >= t.cooldown then probe () else Reject 0.0
-        | Some (Open opened_at) ->
-          let elapsed = now -. opened_at in
+        | Some (Open since | Half_open since) ->
+          (* open until its cooldown ends; a probe in flight holds the key
+             until its lease ends, after which it counts as lost *)
+          let elapsed = now -. since in
           if elapsed >= t.cooldown then probe () else Reject (t.cooldown -. elapsed))
 
 let record t key ~ok =

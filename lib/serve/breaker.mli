@@ -16,7 +16,7 @@ type t
 type verdict =
   | Admit  (** breaker closed (or disabled) — admit normally *)
   | Probe  (** half-open — this caller carries the single probe *)
-  | Reject of float  (** open — seconds of cooldown remaining *)
+  | Reject of float  (** open, or a probe in flight — seconds until a retry *)
 
 val create : ?clock:(unit -> float) -> threshold:int -> cooldown_ms:int -> unit -> t
 (** [threshold <= 0] disables the breaker: [check] always admits and
@@ -26,7 +26,8 @@ val check : t -> string -> verdict
 (** Consult (and possibly transition) the key's breaker at admission
     time. An open breaker whose cooldown has elapsed transitions to
     half-open and returns [Probe]; further checks while the probe is in
-    flight return [Reject 0.], until one cooldown after it was issued. *)
+    flight return [Reject] with the time left on the probe's lease, which
+    ends one cooldown after it was issued. *)
 
 val record : t -> string -> ok:bool -> unit
 (** Report the outcome of a build of [key]. *)

@@ -105,6 +105,19 @@ let raw_send fd bytes =
 
 let raw_close fd = try Unix.close fd with Unix.Unix_error _ -> ()
 
+(* A small streamed RTL sweep, the one request that co-simulates; its
+   frontier JSON, or [None] if it did not complete. *)
+let explore_frontier port =
+  with_client port (fun c ->
+      match
+        Client.explore c ~on_update:ignore
+          (Protocol.Explore
+             { strategy = "random"; seed = 5; budget_pct = 100; population = 8;
+               generations = 4; samples = 4; width = 8; height = 8 })
+      with
+      | Protocol.Explore_r { frontier; _ } -> Some frontier
+      | _ -> None)
+
 (* ---------------- the campaign ---------------- *)
 
 let run (cfg : config) : report =
@@ -127,17 +140,24 @@ let run (cfg : config) : report =
     (fun () ->
       let port () = Server.port !srv in
 
-      (* 1. Sim-backend degradation: the first compiled-tape lowering
-         dies; the build must still succeed on the interpreter. *)
+      (* 1. Sim-backend degradation: in a sweep on the compiled backend
+         (whatever the process default) with an empty program table, the
+         first lowering dies; the sweep must find the same frontier on
+         the interpreter. *)
+      let module Cengine = Soc_rtl_compile.Engine in
+      let backend = Cengine.default_backend () in
+      Cengine.set_default_backend Cengine.Compiled;
+      let clean = explore_frontier (port ()) in
+      Soc_rtl_compile.Csim.clear_programs ();
       Fault.Service.arm Fault.Service.Csim ~times:1 (Fault.Service.Raise "chaos: csim");
-      let oks = List.map (fun src -> outcome_of (port ()) src) cfg.good_sources in
-      let all_done = List.for_all (fun o -> o = `Done) oks in
-      let fb = (Server.stats !srv).Protocol.sim_fallbacks in
-      note "sim-fallback round" (all_done && fb >= 1)
-        (Printf.sprintf "%d/%d done, sim_fallbacks=%d"
-           (List.length (List.filter (fun o -> o = `Done) oks))
-           (List.length oks) fb);
+      let faulted = explore_frontier (port ()) in
       Fault.Service.disarm Fault.Service.Csim;
+      Cengine.set_default_backend backend;
+      let fb = (Server.stats !srv).Protocol.sim_fallbacks in
+      let same = clean <> None && faulted = clean in
+      note "sim-fallback round" (same && fb >= 1)
+        (Printf.sprintf "frontier %s, sim_fallbacks=%d"
+           (if same then "identical" else "differs") fb);
 
       (* 2. Worker crashes: the next two dispatches kill their worker
          threads; both requests must fail (not hang), the supervisor

@@ -536,7 +536,6 @@ type server_stats = {
   rejected_poisoned : int;  (** admissions refused by an open breaker *)
   sim_fallbacks : int;  (** compiled-sim failures degraded to the interpreter *)
   rtl_verify_rejects : int;  (** tapes rejected by the translation validator *)
-  tape_reverifies : int;  (** cache-loaded tapes re-verified before dispatch *)
   fleet_workers : int;  (** configured remote worker endpoints *)
   fleet_live : int;  (** endpoints currently answering heartbeats *)
   remote_dispatches : int;  (** build attempts sent to remote workers *)
@@ -657,7 +656,6 @@ let encode_response = function
         ("rejected_poisoned", Num (float_of_int s.rejected_poisoned));
         ("sim_fallbacks", Num (float_of_int s.sim_fallbacks));
         ("rtl_verify_rejects", Num (float_of_int s.rtl_verify_rejects));
-        ("tape_reverifies", Num (float_of_int s.tape_reverifies));
         ("fleet_workers", Num (float_of_int s.fleet_workers));
         ("fleet_live", Num (float_of_int s.fleet_live));
         ("remote_dispatches", Num (float_of_int s.remote_dispatches));
@@ -763,7 +761,6 @@ let decode_response j =
            rejected_poisoned = int_field ~default:0 "rejected_poisoned" j;
            sim_fallbacks = int_field ~default:0 "sim_fallbacks" j;
            rtl_verify_rejects = int_field ~default:0 "rtl_verify_rejects" j;
-           tape_reverifies = int_field ~default:0 "tape_reverifies" j;
            fleet_workers = int_field ~default:0 "fleet_workers" j;
            fleet_live = int_field ~default:0 "fleet_live" j;
            remote_dispatches = int_field ~default:0 "remote_dispatches" j;

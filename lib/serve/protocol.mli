@@ -148,7 +148,6 @@ type server_stats = {
   rejected_poisoned : int;  (** admissions refused by an open breaker *)
   sim_fallbacks : int;  (** compiled-sim failures degraded to the interpreter *)
   rtl_verify_rejects : int;  (** tapes rejected by the translation validator *)
-  tape_reverifies : int;  (** cache-loaded tapes re-verified before dispatch *)
   fleet_workers : int;  (** configured remote worker endpoints *)
   fleet_live : int;  (** endpoints currently answering heartbeats *)
   remote_dispatches : int;  (** build attempts sent to remote workers *)

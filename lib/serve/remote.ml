@@ -169,7 +169,6 @@ let start (cfg : config) =
   let cache =
     Soc_farm.Cache.create ?disk_dir:cfg.cache_dir ?max_mb:cfg.cache_max_mb ()
   in
-  Soc_farm.Cache.enable_tape_cache cache;
   let t =
     { cfg; listener = Listener.bind ~host:cfg.host ~port:cfg.port; cache;
       link = "wk:" ^ cfg.worker_id; builds_done = Atomic.make 0;

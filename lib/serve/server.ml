@@ -117,7 +117,6 @@ type t = {
   engine_base : int;
   sim_base : int;
   verify_base : int;
-  reverify_base : int;
   rejected_check : int Atomic.t;
   rejected_poisoned : int Atomic.t;
   worker_restarts : int Atomic.t;
@@ -473,7 +472,6 @@ let stats t : Protocol.server_stats =
     rejected_poisoned = Atomic.get t.rejected_poisoned;
     sim_fallbacks = Cengine.fallback_count () - t.sim_base;
     rtl_verify_rejects = Cengine.verify_reject_count () - t.verify_base;
-    tape_reverifies = Cengine.reverify_count () - t.reverify_base;
     fleet_workers = fleet (fun s -> s.Coordinator.fleet_workers);
     fleet_live = fleet (fun s -> s.Coordinator.fleet_live);
     remote_dispatches = fleet (fun s -> s.Coordinator.dispatches);
@@ -652,7 +650,6 @@ let start (cfg : config) =
   let cache =
     Soc_farm.Cache.create ?disk_dir:cfg.cache_dir ?max_mb:cfg.cache_max_mb ()
   in
-  Soc_farm.Cache.enable_tape_cache cache;
   let journal =
     Option.map
       (fun dir ->
@@ -677,7 +674,6 @@ let start (cfg : config) =
       engine_base = Soc_hls.Engine.invocation_count ();
       sim_base = Cengine.fallback_count ();
       verify_base = Cengine.verify_reject_count ();
-      reverify_base = Cengine.reverify_count ();
       rejected_check = Atomic.make 0; rejected_poisoned = Atomic.make 0;
       worker_restarts = Atomic.make 0; watchdog_fires = Atomic.make 0;
       coord =

@@ -322,30 +322,8 @@ let test_optimizer_folds_and_dce () =
     [ 0; 1; 7; 0xFFFFFFFF; 123456 ]
 
 (* ------------------------------------------------------------------ *)
-(* Tape serialization: versioned text, total deserializer              *)
+(* Executor safety checks                                              *)
 (* ------------------------------------------------------------------ *)
-
-let test_tape_roundtrip () =
-  let net, _ = random_netlist 42 in
-  let tape = Opt.run (Tape.lower net) in
-  let s = Tape.serialize tape in
-  let tape' = Tape.deserialize s in
-  check Alcotest.string "roundtrip is byte-stable" s (Tape.serialize tape');
-  (* The deserialized tape must drive a working simulator. *)
-  ignore (Csim.of_tape tape' net)
-
-let test_tape_rejects_garbage () =
-  let reject s =
-    match Tape.deserialize s with
-    | exception Tape.Parse_error _ -> ()
-    | _ -> Alcotest.failf "expected Parse_error on %S" (String.sub s 0 (min 20 (String.length s)))
-  in
-  reject "";
-  reject "not-a-tape\n";
-  reject "soc-tape-v0\nmod x\n";
-  let net, _ = random_netlist 43 in
-  let good = Tape.serialize (Opt.run (Tape.lower net)) in
-  reject (String.sub good 0 (String.length good / 2))
 
 let test_tape_mismatch_detected () =
   let net_a, _ = random_netlist 44 in
@@ -359,7 +337,7 @@ let test_tape_mismatch_detected () =
   | _ -> Alcotest.fail "expected Tape_mismatch on a foreign tape"
 
 (* ------------------------------------------------------------------ *)
-(* Engine dispatch and the farm tape cache                             *)
+(* Engine dispatch and the program table                               *)
 (* ------------------------------------------------------------------ *)
 
 let test_engine_backend_dispatch () =
@@ -381,110 +359,37 @@ let test_engine_backend_dispatch () =
     (fun o -> check Alcotest.int o.NL.sname (Engine.value a o) (Engine.value b o))
     net.NL.outputs
 
-let test_tape_cache_warm_and_disk () =
-  let dir = Filename.temp_file "soctape" ".cache" in
-  Sys.remove dir;
+(* The program table is the only store of compiled simulators: K
+   instantiations of one netlist lower it once. A lowering fault armed
+   after that first lowering never fires, because nothing is lowered,
+   until the table is cleared and the netlist must be lowered again. *)
+let test_engine_lowers_once () =
+  let module F = Soc_fault.Fault.Service in
+  F.reset ();
+  Engine.clear_degraded ();
+  Csim.clear_programs ();
   Fun.protect
-    ~finally:(fun () -> Engine.install_tape_cache None)
+    ~finally:(fun () ->
+      F.reset ();
+      Engine.clear_degraded ())
     (fun () ->
       let net, _ = random_netlist 11 in
-      let cache = Soc_farm.Cache.create ~disk_dir:dir () in
-      Soc_farm.Cache.enable_tape_cache cache;
       let l0 = Engine.lowering_count () in
-      ignore (Engine.create net);
-      check Alcotest.int "cold round lowers once" (l0 + 1) (Engine.lowering_count ());
-      ignore (Engine.create net);
-      check Alcotest.int "warm round lowers nothing" (l0 + 1) (Engine.lowering_count ());
-      let ts = Soc_farm.Cache.tape_stats cache in
-      check Alcotest.int "stored once" 1 ts.Soc_farm.Cache.tape_stores;
-      check Alcotest.bool "memory hit" true (ts.Soc_farm.Cache.tape_hits >= 1);
-      (* A fresh cache over the same disk directory: the tape comes back
-         from the verified disk layer, still with zero lowering. *)
-      let cache2 = Soc_farm.Cache.create ~disk_dir:dir () in
-      Soc_farm.Cache.enable_tape_cache cache2;
-      ignore (Engine.create net);
-      check Alcotest.int "disk round lowers nothing" (l0 + 1) (Engine.lowering_count ());
-      let ts2 = Soc_farm.Cache.tape_stats cache2 in
-      check Alcotest.int "disk hit" 1 ts2.Soc_farm.Cache.tape_disk_hits)
-
-let test_tape_cache_corruption_quarantined () =
-  let dir = Filename.temp_file "soctape" ".cache" in
-  Sys.remove dir;
-  Fun.protect
-    ~finally:(fun () -> Engine.install_tape_cache None)
-    (fun () ->
-      let net, _ = random_netlist 12 in
-      let cache = Soc_farm.Cache.create ~disk_dir:dir () in
-      Soc_farm.Cache.enable_tape_cache cache;
-      ignore (Engine.create net);
-      (* Flip a byte in every stored tape entry. *)
-      Array.iter
-        (fun f ->
-          if Filename.check_suffix f ".tape" then begin
-            let path = Filename.concat dir f in
-            let ic = open_in_bin path in
-            let len = in_channel_length ic in
-            let buf = really_input_string ic len in
-            close_in ic;
-            let b = Bytes.of_string buf in
-            Bytes.set b (len / 2) '\xff';
-            let oc = open_out_bin path in
-            output_bytes oc b;
-            close_out oc
-          end)
-        (Sys.readdir dir);
-      (* A fresh cache must quarantine the corrupt entry and fall back to
-         compiling — never crash, never deserialize garbage. *)
-      let cache2 = Soc_farm.Cache.create ~disk_dir:dir () in
-      Soc_farm.Cache.enable_tape_cache cache2;
-      let l0 = Engine.lowering_count () in
-      ignore (Engine.create net);
-      check Alcotest.int "corrupt entry recompiled" (l0 + 1) (Engine.lowering_count ());
-      check Alcotest.bool "diagnostic emitted" true
-        (Soc_farm.Cache.diags cache2 <> []))
-
-(* A tape entry from an older format version is stale, not corrupt: it
-   is counted, re-lowered and noted once per run (IO402), like a stale
-   accelerator entry. *)
-let test_tape_cache_stale_noted () =
-  let dir = Filename.temp_file "soctape" ".cache" in
-  Sys.remove dir;
-  Fun.protect
-    ~finally:(fun () -> Engine.install_tape_cache None)
-    (fun () ->
-      let net, _ = random_netlist 13 in
-      let cache = Soc_farm.Cache.create ~disk_dir:dir () in
-      Soc_farm.Cache.enable_tape_cache cache;
-      ignore (Engine.create net);
-      (* Rewrite every tape entry's header under an older format version;
-         the payload digest still matches. *)
-      Array.iter
-        (fun f ->
-          if Filename.check_suffix f ".tape" then begin
-            let path = Filename.concat dir f in
-            let raw = In_channel.with_open_bin path In_channel.input_all in
-            let nl = String.index raw '\n' in
-            match String.split_on_char ' ' (String.sub raw 0 nl) with
-            | [ magic; _version; dg; len ] ->
-              Out_channel.with_open_bin path (fun oc ->
-                  Out_channel.output_string oc
-                    (Printf.sprintf "%s soc-farm-chash-v0 %s %s%s" magic dg len
-                       (String.sub raw nl (String.length raw - nl))))
-            | _ -> Alcotest.fail "unexpected tape header"
-          end)
-        (Sys.readdir dir);
-      let cache2 = Soc_farm.Cache.create ~disk_dir:dir () in
-      Soc_farm.Cache.enable_tape_cache cache2;
-      let l0 = Engine.lowering_count () in
-      ignore (Engine.create net);
-      check Alcotest.int "stale entry re-lowered" (l0 + 1) (Engine.lowering_count ());
-      let st = Soc_farm.Cache.stats cache2 in
-      check Alcotest.int "stale read counted" 1 st.Soc_farm.Cache.stale;
-      check Alcotest.int "none quarantined" 0 st.Soc_farm.Cache.quarantined;
-      let io402 =
-        List.filter (fun d -> d.Soc_util.Diag.code = "IO402") (Soc_farm.Cache.diags cache2)
-      in
-      check Alcotest.int "version mismatch noted once" 1 (List.length io402))
+      let es = List.init 5 (fun _ -> Engine.create ~backend:Engine.Compiled net) in
+      check Alcotest.bool "every instance compiled" true
+        (List.for_all (fun e -> Engine.backend_of e = Engine.Compiled) es);
+      check Alcotest.int "five instantiations, one lowering" (l0 + 1) (Engine.lowering_count ());
+      F.arm F.Csim ~times:1 (F.Raise "lowering dies");
+      let fb0 = Engine.fallback_count () in
+      let e = Engine.create ~backend:Engine.Compiled net in
+      check Alcotest.bool "a table hit stays compiled" true (Engine.backend_of e = Engine.Compiled);
+      check Alcotest.int "the armed fault did not fire" 0 (F.hits F.Csim);
+      check Alcotest.int "still one lowering" (l0 + 1) (Engine.lowering_count ());
+      Csim.clear_programs ();
+      let e' = Engine.create ~backend:Engine.Compiled net in
+      check Alcotest.int "cleared table: the fault fires" 1 (F.hits F.Csim);
+      check Alcotest.bool "and the instance falls back" true (Engine.backend_of e' = Engine.Interp);
+      check Alcotest.int "fallback counted" (fb0 + 1) (Engine.fallback_count ()))
 
 (* A lowering failure must never fail the caller: the engine falls back
    to the interpreter, counts it, and remembers the bad key so repeat
@@ -493,12 +398,11 @@ let test_engine_degradation_ladder () =
   let module F = Soc_fault.Fault.Service in
   F.reset ();
   Engine.clear_degraded ();
-  Engine.install_tape_cache None;
+  Csim.clear_programs ();
   Fun.protect
     ~finally:(fun () ->
       F.reset ();
-      Engine.clear_degraded ();
-      Engine.install_tape_cache None)
+      Engine.clear_degraded ())
     (fun () ->
       let net, inputs = random_netlist 21 in
       let fb0 = Engine.fallback_count () in
@@ -511,31 +415,21 @@ let test_engine_degradation_ladder () =
       (* The degraded engine still simulates. *)
       List.iter (fun i -> Engine.set_input e i 1) inputs;
       Engine.settle e;
-      (* With a cache installed the sticky key goes straight to the
-         interpreter — the lowering is never re-attempted. *)
-      let dir = Filename.temp_file "socdeg" ".cache" in
-      Sys.remove dir;
-      let cache = Soc_farm.Cache.create ~disk_dir:dir () in
-      Soc_farm.Cache.enable_tape_cache cache;
+      (* The sticky key goes straight to the interpreter — the lowering
+         is never re-attempted. *)
       let l0 = Engine.lowering_count () in
       let e2 = Engine.create ~backend:Engine.Compiled net in
       check Alcotest.bool "sticky: interpreter without a retry" true
         (Engine.backend_of e2 = Engine.Interp);
       check Alcotest.int "no lowering re-attempted" l0 (Engine.lowering_count ());
       check Alcotest.int "sticky fallback counted too" (fb0 + 2) (Engine.fallback_count ());
-      (* precompile absorbs an injected failure the same way: mark, count,
-         carry on — no artifact stored, no exception. *)
-      Engine.clear_degraded ();
-      F.arm F.Csim ~times:1 (F.Raise "precompile dies");
-      Engine.precompile net;
-      check Alcotest.int "precompile marks the key" 1 (Engine.degraded_key_count ());
-      check Alcotest.int "precompile fallback counted" (fb0 + 3) (Engine.fallback_count ());
       (* Degradation is a memory, not a death sentence: cleared, the same
          netlist compiles again. *)
       Engine.clear_degraded ();
       let e3 = Engine.create ~backend:Engine.Compiled net in
       check Alcotest.bool "recovered to the compiled backend" true
-        (Engine.backend_of e3 = Engine.Compiled))
+        (Engine.backend_of e3 = Engine.Compiled);
+      check Alcotest.int "by one real lowering" (l0 + 1) (Engine.lowering_count ()))
 
 (* ------------------------------------------------------------------ *)
 (* Shared programs: one build per netlist, independent instances       *)
@@ -682,17 +576,12 @@ let suite =
     Alcotest.test_case "quiet memo fires on held inputs" `Quick test_quiet_memo_fires;
     Alcotest.test_case "optimizer folds, specializes, sweeps; meaning kept" `Quick
       test_optimizer_folds_and_dce;
-    Alcotest.test_case "tape text roundtrip is byte-stable" `Quick test_tape_roundtrip;
-    Alcotest.test_case "tape deserializer rejects garbage" `Quick
-      test_tape_rejects_garbage;
     Alcotest.test_case "foreign tape rejected by executor" `Quick
       test_tape_mismatch_detected;
     Alcotest.test_case "engine dispatches both backends" `Quick
       test_engine_backend_dispatch;
-    Alcotest.test_case "farm tape cache: warm rounds never re-lower" `Quick
-      test_tape_cache_warm_and_disk;
-    Alcotest.test_case "farm tape cache: corruption quarantined" `Quick
-      test_tape_cache_corruption_quarantined;
+    Alcotest.test_case "engine: K instantiations lower once" `Quick
+      test_engine_lowers_once;
     Alcotest.test_case "engine degradation ladder: compiled -> interp" `Quick
       test_engine_degradation_ladder;
     qtest test_shared_program_instances_independent;
@@ -700,6 +589,4 @@ let suite =
       test_program_reuse_needs_equal_tape;
     Alcotest.test_case "VCD byte-identical across backends (Otsu)" `Quick
       test_vcd_byte_identical_on_otsu;
-    Alcotest.test_case "farm tape cache: stale entry noted once" `Quick
-      test_tape_cache_stale_noted;
   ]

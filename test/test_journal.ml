@@ -266,6 +266,29 @@ let test_doctor_fsck_repairs () =
   check Alcotest.int "second pass: nothing to repair" (n - 1) r2.Cache.fsck_ok;
   check Alcotest.int "second pass: no quarantines" 0 (List.length r2.Cache.fsck_quarantined)
 
+(* Compiled tapes were once cached next to the accelerators. Nothing
+   reads them now and the LRU cap never counts them, so doctor removes
+   any an older build left behind, as stale (IO402). *)
+let test_doctor_removes_old_tapes () =
+  let dir = fresh_dir "soctapes" in
+  ignore (Farm.build_batch ~jobs:1 ~cache:(Cache.create ~disk_dir:dir ()) (entry1 ()));
+  let n = List.length (artifact_files dir) in
+  let tapes = [ "0123456789abcdef.tape"; "fedcba9876543210.tape" ] in
+  write_file_raw (Filename.concat dir (List.hd tapes))
+    (Printf.sprintf "soc-accel %s 0 0\n" Chash.format_version);
+  write_file_raw (Filename.concat dir (List.nth tapes 1)) "soc-tape-v1\nmod x\n";
+  let r = Cache.fsck ~dir in
+  check Alcotest.int "accelerators verified" n r.Cache.fsck_ok;
+  check (Alcotest.list Alcotest.string) "every tape counted stale" tapes
+    (List.sort compare r.Cache.fsck_stale);
+  check Alcotest.bool "every tape removed" true
+    (List.for_all (fun f -> not (Sys.file_exists (Filename.concat dir f))) tapes);
+  check Alcotest.int "one IO402 per tape" 2
+    (List.length (List.filter (fun d -> d.Diag.code = "IO402") r.Cache.fsck_diags));
+  check Alcotest.int "nothing quarantined" 0 (List.length r.Cache.fsck_quarantined);
+  let r2 = Cache.fsck ~dir in
+  check Alcotest.int "second pass: nothing stale" 0 (List.length r2.Cache.fsck_stale)
+
 let prop_doctor_never_raises =
   QCheck.Test.make ~name:"doctor: never raises on fuzzed cache dirs" ~count:20
     QCheck.(pair (int_range 0 1000000) (int_range 1 200))
@@ -433,6 +456,7 @@ let suite =
     qtest prop_corrupt_artifact_recovers;
     ("cache: stale version noted once", `Quick, test_stale_version_noted_once);
     ("doctor: quarantine + orphan repair", `Quick, test_doctor_fsck_repairs);
+    ("doctor: leftover compiled tapes removed", `Quick, test_doctor_removes_old_tapes);
     qtest prop_doctor_never_raises;
     ("cache: LRU cap spares journal-live entries", `Quick, test_lru_cap_spares_protected);
     ("kill-point campaign: resume == uninterrupted", `Slow, test_kill_point_campaign);

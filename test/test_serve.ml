@@ -253,7 +253,6 @@ let test_response_roundtrip () =
       cache_disk_hits = 2; cache_misses = 3; hit_rate = 0.7; engine_runs = 3;
       worker_restarts = 2; watchdog_fires = 1; breaker_open_keys = 1;
       rejected_poisoned = 4; sim_fallbacks = 1; rtl_verify_rejects = 2;
-      tape_reverifies = 5;
       fleet_workers = 2; fleet_live = 1; remote_dispatches = 9; remote_retries = 2;
       remote_hedges = 1; remote_cancels = 1; remote_fallbacks = 3;
       lat_count = 6; lat_p50_ms = 8.0; lat_p95_ms = 16.0; lat_p99_ms = 16.0 }
@@ -767,8 +766,8 @@ let test_breaker_unit () =
   now := 1.5;
   check Alcotest.bool "past cooldown: half-open probe" true
     (Breaker.check b "k" = Breaker.Probe);
-  check Alcotest.bool "probe in flight: reject" true
-    (Breaker.check b "k" = Breaker.Reject 0.0);
+  check Alcotest.bool "probe in flight: reject until its lease ends" true
+    (Breaker.check b "k" = Breaker.Reject 1.0);
   Breaker.record b "k" ~ok:false;
   (match Breaker.check b "k" with
   | Breaker.Reject _ -> ()
@@ -803,8 +802,8 @@ let test_breaker_lost_probe () =
   now := 1.0;
   check Alcotest.bool "cooldown over: probe" true (Breaker.check b "k" = Breaker.Probe);
   now := 1.5;
-  check Alcotest.bool "probe still in flight: reject" true
-    (Breaker.check b "k" = Breaker.Reject 0.0);
+  check Alcotest.bool "probe still in flight: retry when its lease ends" true
+    (Breaker.check b "k" = Breaker.Reject 0.5);
   now := 2.0;
   check Alcotest.bool "unreported probe is lost: new probe" true
     (Breaker.check b "k" = Breaker.Probe);
@@ -972,47 +971,53 @@ let test_serve_poison_breaker () =
           check Alcotest.int "probe success closes the breaker" 0
             (Client.stats client).Protocol.breaker_open_keys))
 
-let test_serve_sim_fallback () =
+(* A small streamed RTL sweep: the one daemon request that co-simulates,
+   so the one that instantiates compiled simulators. *)
+let explore_frontier client =
+  let req =
+    Protocol.Explore
+      { strategy = "random"; seed = 5; budget_pct = 100; population = 8;
+        generations = 4; samples = 4; width = 8; height = 8 }
+  in
+  match Client.explore client ~on_update:ignore req with
+  | Protocol.Explore_r { frontier; _ } -> frontier
+  | r -> Alcotest.failf "explore failed: %s" Protocol.(to_string (encode_response r))
+
+let clean_frontier = lazy (with_faults (fun () -> with_server ~workers:1 (fun _ c -> explore_frontier c)))
+
+(* Run the sweep with a compiled-simulation fault armed by [arm], on an
+   empty program table so that the sweep has to lower its netlists. *)
+let faulted_sweep arm =
+  let clean = Lazy.force clean_frontier in
   with_faults (fun () ->
       with_server ~workers:1 (fun _srv client ->
-          (* A compiled-tape lowering failure mid-build degrades that
-             netlist to the interpreter; the build still completes. *)
-          Fault.Service.arm Fault.Service.Csim ~times:1
-            (Fault.Service.Raise "lowering dies");
-          let id, _ = submit_ok client (arch_source Graphs.Arch1) in
-          let design, _, _ = result_done client id in
-          check Alcotest.string "build completes despite the dead backend"
-            "otsu_arch1" design;
-          check Alcotest.bool "fallback surfaces in stats" true
-            ((Client.stats client).Protocol.sim_fallbacks >= 1)))
+          Cengine.clear_degraded ();
+          Soc_rtl_compile.Csim.clear_programs ();
+          arm ();
+          let frontier = explore_frontier client in
+          check Alcotest.string "frontier identical to the unfaulted sweep" clean frontier;
+          Client.stats client))
+
+let test_serve_sim_fallback () =
+  (* A compiled-tape lowering failure mid-sweep degrades that netlist to
+     the interpreter; the sweep still finds the same frontier. *)
+  let s =
+    faulted_sweep (fun () ->
+        Fault.Service.arm Fault.Service.Csim ~times:1 (Fault.Service.Raise "lowering dies"))
+  in
+  check Alcotest.bool "fallback surfaces in stats" true (s.Protocol.sim_fallbacks >= 1)
 
 let test_serve_corrupt_tape_rejected () =
   (* A miscompiled tape (injected corruption after lowering) is rejected
      by the translation validator, the engine degrades that netlist to
-     the interpreter, and the build still completes — byte-identical to
-     an uncorrupted build, because the backend choice never leaks into
-     the artifacts. *)
-  let clean_manifest = ref "" in
-  with_faults (fun () ->
-      with_server ~workers:1 (fun _srv client ->
-          let id, _ = submit_ok client (arch_source Graphs.Arch1) in
-          let _, _, manifest = result_done client id in
-          clean_manifest := manifest));
-  with_faults (fun () ->
-      with_server ~workers:1 (fun _srv client ->
-          Fault.Service.arm_corrupt_tape ~times:1 ~seed:11 ();
-          let id, _ = submit_ok client (arch_source Graphs.Arch1) in
-          let design, _, manifest = result_done client id in
-          check Alcotest.string "build completes despite the miscompile"
-            "otsu_arch1" design;
-          check Alcotest.int "fault point consumed" 1 (Fault.Service.corrupt_hits ());
-          let s = Client.stats client in
-          check Alcotest.bool "verifier rejection surfaces in stats" true
-            (s.Protocol.rtl_verify_rejects >= 1);
-          check Alcotest.bool "interpreter fallback surfaces in stats" true
-            (s.Protocol.sim_fallbacks >= 1);
-          check Alcotest.string "manifest byte-identical to the clean build"
-            !clean_manifest manifest))
+     the interpreter, and the sweep's frontier is byte-identical to an
+     uncorrupted one, because the backend choice never leaks into the
+     results. *)
+  let s = faulted_sweep (fun () -> Fault.Service.arm_corrupt_tape ~times:1 ~seed:11 ()) in
+  check Alcotest.bool "verifier rejection surfaces in stats" true
+    (s.Protocol.rtl_verify_rejects >= 1);
+  check Alcotest.bool "interpreter fallback surfaces in stats" true
+    (s.Protocol.sim_fallbacks >= 1)
 
 let test_serve_session_cap () =
   with_server ~max_sessions:1 (fun srv client ->

@@ -1,6 +1,6 @@
 (* Tests for the RTL-level static verifier: the netlist lint (RTL50x)
-   and the tape translation validator (RTL51x) that runs after lowering,
-   after every optimizer pass and on every cache load. *)
+   and the tape translation validator (RTL51x) that runs after lowering
+   and after every optimizer pass. *)
 
 module NL = Soc_rtl.Netlist
 module Sim = Soc_rtl.Sim
@@ -211,52 +211,8 @@ let test_benign_mutation_unobservable () =
     [ 0; 1; 0xFFFF; 1234 ]
 
 (* ------------------------------------------------------------------ *)
-(* Engine integration: cache re-verification and the fault point       *)
+(* Engine integration: the fault point                                 *)
 (* ------------------------------------------------------------------ *)
-
-(* A cache-loaded tape is re-verified before the unsafe dispatch loop
-   sees it; a poisoned entry is rejected, recompiled over and does NOT
-   degrade the netlist (the store was corrupt, not the compile). *)
-let test_engine_cache_reverify () =
-  Engine.clear_degraded ();
-  let stored : Tape.t option ref = ref None in
-  Fun.protect
-    ~finally:(fun () ->
-      Engine.install_tape_cache None;
-      Engine.clear_degraded ())
-    (fun () ->
-      Engine.install_tape_cache
-        (Some
-           { Engine.tc_find = (fun ~key:_ -> !stored);
-             tc_store = (fun ~key:_ t -> stored := Some t) });
-      let net, _ = Test_csim.random_netlist 314 in
-      ignore (Engine.create ~backend:Engine.Compiled net);
-      check Alcotest.bool "tape stored" true (!stored <> None);
-      let rv0 = Engine.reverify_count () and vr0 = Engine.verify_reject_count () in
-      ignore (Engine.create ~backend:Engine.Compiled net);
-      check Alcotest.int "warm load re-verified" (rv0 + 1) (Engine.reverify_count ());
-      check Alcotest.int "clean tape not rejected" vr0 (Engine.verify_reject_count ());
-      (* Poison the cached entry with a structural mutation. *)
-      stored := Some (fst (Verify.mutate ~seed:9 (Option.get !stored)));
-      let dk0 = Engine.degraded_key_count () and fb0 = Engine.fallback_count () in
-      let e = Engine.create ~backend:Engine.Compiled net in
-      check Alcotest.bool "recompiled, still on the compiled backend" true
-        (Engine.backend_of e = Engine.Compiled);
-      check Alcotest.int "rejection counted" (vr0 + 1) (Engine.verify_reject_count ());
-      check Alcotest.int "cache corruption does not degrade the key" dk0
-        (Engine.degraded_key_count ());
-      check Alcotest.int "no interpreter fallback" fb0 (Engine.fallback_count ());
-      (match Engine.verify_diags () with
-      | d :: _ ->
-        check Alcotest.bool "diag carries an RTL51x code" true
-          (String.length d.Diag.code = 6 && String.sub d.Diag.code 0 5 = "RTL51");
-        check Alcotest.bool "diag names the cache-load stage" true
-          (contains ~sub:"cache-load" d.Diag.message)
-      | [] -> Alcotest.fail "expected a verify diagnostic");
-      (* The overwritten entry is clean again: next load passes. *)
-      let vr1 = Engine.verify_reject_count () in
-      ignore (Engine.create ~backend:Engine.Compiled net);
-      check Alcotest.int "overwritten entry verifies" vr1 (Engine.verify_reject_count ()))
 
 (* The service fault point corrupts one lowered tape in-flight: the
    verifier rejects it at stage "lower" and the engine rides the
@@ -265,7 +221,7 @@ let test_fault_corrupt_tape_degrades () =
   let module F = Soc_fault.Fault.Service in
   F.reset ();
   Engine.clear_degraded ();
-  Engine.install_tape_cache None;
+  Csim.clear_programs ();
   Fun.protect
     ~finally:(fun () ->
       F.reset ();
@@ -308,8 +264,6 @@ let suite =
     qtest test_mutations_caught;
     Alcotest.test_case "verify: benign mutation passes and is unobservable" `Quick
       test_benign_mutation_unobservable;
-    Alcotest.test_case "engine: cache loads re-verified, poison recompiled" `Quick
-      test_engine_cache_reverify;
     Alcotest.test_case "engine: corrupt-tape fault degrades to interpreter" `Quick
       test_fault_corrupt_tape_degrades;
   ]

@@ -649,11 +649,11 @@ let explore_cmd =
     let c = o.Soc_dse.Tuner.cache in
     let stats_line =
       Printf.sprintf
-        "farm: %d batch(es), %d HLS request(s), %d engine run(s), %d cache hit(s) (%d disk), %d pruned pre-HLS"
+        "farm: %d batch(es), %d HLS request(s), %d engine run(s), %d cache hit(s) (%d disk), %d pruned pre-HLS, %d co-simulation(s) reused"
         o.Soc_dse.Tuner.batches o.Soc_dse.Tuner.hls_requests
         o.Soc_dse.Tuner.engine_invocations
         (c.Soc_farm.Cache.hits + c.Soc_farm.Cache.disk_hits)
-        c.Soc_farm.Cache.disk_hits o.Soc_dse.Tuner.pruned
+        c.Soc_farm.Cache.disk_hits o.Soc_dse.Tuner.pruned o.Soc_dse.Tuner.cosim_reused
     in
     (match format with
     | `Json ->

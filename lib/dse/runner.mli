@@ -3,21 +3,24 @@
     contiguous hardware stages as concurrent streaming phases), checked
     bit-exactly against the golden model. *)
 
-type point = {
-  partition : Partition.t;
+type run = {
   cycles : int;
   microseconds : float;
-  resources : Soc_hls.Report.usage;
-  tool_seconds : float;  (** estimated generation time (Fig. 9 model) *)
   output : Soc_apps.Image.t;
   threshold : int;
+  fifo_peak : int;
+      (** the largest {!Soc_axi.Fifo.high_water} of any stream FIFO; 0
+          without fabric. Every FIFO takes at most one push per cycle, so
+          a run that peaked below its FIFO depth never had a push refused
+          and is the run any depth above [fifo_peak] makes. *)
 }
+(** What one co-simulation produced, whatever the build cost. *)
 
 exception Wrong_output of string
 (** A design point whose image differs from the golden model (a bug, not a
     design point). *)
 
-val measure :
+val simulate :
   ?width:int ->
   ?height:int ->
   ?seed:int ->
@@ -25,8 +28,12 @@ val measure :
   ?mode:[ `Rtl | `Behavioral ] ->
   Soc_core.Flow.build option ->
   Partition.t ->
-  point
+  run
 (** Instantiate an already finished build (e.g. from a
     {!Soc_farm.Farm.build_batch}) and run the host program on it;
     [None] runs the all-software partition. Raises {!Wrong_output} when
     the image differs from the golden model. *)
+
+val costs : Soc_core.Flow.build option -> Soc_hls.Report.usage * float
+(** A build's synthesized resources and estimated tool seconds; zero for
+    the all-software partition. *)

@@ -2,7 +2,7 @@
    space (HW/SW partition x FIFO depth x HLS schedule strategy x
    functional-unit allocation), candidate spec generation as canonical
    DSL text, the pre-HLS analyzer/budget gate, and farm-backed
-   measurement through Runner.measure. *)
+   measurement through Runner.simulate. *)
 
 module Search = Soc_tune.Search
 module Eval = Soc_tune.Eval
@@ -114,20 +114,22 @@ let budget_device pct =
     d_bram18 = scale d.Report.d_bram18;
     d_dsp = scale d.Report.d_dsp }
 
-let point_of_runner c ~dsl (rp : Runner.point) : Search.point =
-  let u = rp.Runner.resources in
+(* A candidate's point: the run's timing, its own build's costs. *)
+let point_of c ~dsl build ~cycles ~microseconds ~fifo_peak : Search.point =
+  let u, tool_seconds = Runner.costs build in
   { Search.key = key c;
     label = key c;
     dsl;
     objectives =
-      [| rp.Runner.microseconds;
+      [| microseconds;
          float_of_int u.Report.lut;
          float_of_int u.Report.ff;
          float_of_int u.Report.bram18;
          float_of_int u.Report.dsp |];
-    cycles = rp.Runner.cycles;
+    cycles;
     usage = u;
-    tool_seconds = rp.Runner.tool_seconds }
+    tool_seconds;
+    fifo_peak }
 
 let budget_diag ~pct ~subject (device : Report.device) usage ~estimated =
   Diag.error ~code:"RES210" ~subject
@@ -137,49 +139,77 @@ let budget_diag ~pct ~subject (device : Report.device) usage ~estimated =
        usage.Report.lut usage.Report.ff usage.Report.bram18 usage.Report.dsp pct
        device.Report.d_lut device.Report.d_ff device.Report.d_bram18 device.Report.d_dsp)
 
+let mode_name = function `Rtl -> "rtl" | `Behavioral -> "behavioral"
+
 let prepare (opts : options) device c : Eval.prep =
   let pixels = opts.width * opts.height in
   let fifo_depth = max c.fifo (pixels + 16) in
   let config = config_of c in
-  let measure build =
-    Runner.measure ~width:opts.width ~height:opts.height ~seed:opts.image_seed
-      ~fifo_depth ~mode:opts.mode build c.part
+  let entry, gate, dsl =
+    if Partition.is_all_sw c.part then (None, [], "")
+    else begin
+      let spec = Partition.spec_of c.part in
+      let kernels = Partition.kernels_of c.part ~width:opts.width ~height:opts.height in
+      (* Pre-HLS gate: the whole-design analyzer plus the coarse AST-level
+         resource estimate against the scaled budget — infeasible
+         candidates never reach the farm. *)
+      let analyzer = Soc_analysis.Analyze.run ~kernels spec in
+      let estimate =
+        List.fold_left
+          (fun acc (_, k) -> Report.add acc (Soc_analysis.Analyze.estimate_kernel_resources k))
+          Report.zero kernels
+      in
+      let budget_gate =
+        if opts.budget_pct >= 100 || Report.fits ~device estimate then []
+        else
+          [ budget_diag ~pct:opts.budget_pct ~subject:(key c) device estimate ~estimated:true ]
+      in
+      (Some { Soc_farm.Jobgraph.spec; kernels }, analyzer @ budget_gate,
+       Soc_core.Printer.to_source spec)
+    end
   in
-  if Partition.is_all_sw c.part then
-    { Eval.entry = None; fifo_depth; config; gate = [];
-      measure = (fun b -> point_of_runner c ~dsl:"" (measure b)) }
-  else begin
-    let spec = Partition.spec_of c.part in
-    let kernels = Partition.kernels_of c.part ~width:opts.width ~height:opts.height in
-    let dsl = Soc_core.Printer.to_source spec in
-    (* Pre-HLS gate: the whole-design analyzer plus the coarse AST-level
-       resource estimate against the scaled budget — infeasible
-       candidates never reach the farm. *)
-    let analyzer = Soc_analysis.Analyze.run ~kernels spec in
-    let estimate =
-      List.fold_left
-        (fun acc (_, k) -> Report.add acc (Soc_analysis.Analyze.estimate_kernel_resources k))
-        Report.zero kernels
+  (* Post-synthesis backstop, before any co-simulation: the real
+     aggregate must fit too. *)
+  let fits build =
+    let usage, _ = Runner.costs build in
+    if not (Report.fits ~device usage) then
+      raise
+        (Eval.Infeasible_point
+           [ budget_diag ~pct:opts.budget_pct ~subject:(key c) device usage ~estimated:false ])
+  in
+  let measure build =
+    fits build;
+    let r =
+      Runner.simulate ~width:opts.width ~height:opts.height ~seed:opts.image_seed
+        ~fifo_depth ~mode:opts.mode build c.part
     in
-    let budget_gate =
-      if opts.budget_pct >= 100 || Report.fits ~device estimate then []
-      else
-        [ budget_diag ~pct:opts.budget_pct ~subject:(key c) device estimate ~estimated:true ]
+    point_of c ~dsl build ~cycles:r.Runner.cycles ~microseconds:r.Runner.microseconds
+      ~fifo_peak:r.Runner.fifo_peak
+  in
+  (* What the run reads: the mode, the partition (host plan and links),
+     the image, and in RTL mode each accelerator's netlist. *)
+  let behaviour ~netlist_key build =
+    let nets =
+      match (build, opts.mode) with
+      | Some (b : Soc_core.Flow.build), `Rtl ->
+        List.map
+          (fun (i : Soc_core.Flow.node_impl) ->
+            i.Soc_core.Flow.node.Soc_core.Spec.node_name ^ "="
+            ^ netlist_key i.Soc_core.Flow.accel.Engine.fsmd.Soc_hls.Fsmd.netlist)
+          b.Soc_core.Flow.impls
+      | _ -> []
     in
-    { Eval.entry = Some { Soc_farm.Jobgraph.spec; kernels };
-      fifo_depth; config;
-      gate = analyzer @ budget_gate;
-      measure =
-        (fun b ->
-          let rp = measure b in
-          (* Post-synthesis backstop: the real aggregate must fit too. *)
-          if not (Report.fits ~device rp.Runner.resources) then
-            raise
-              (Eval.Infeasible_point
-                 [ budget_diag ~pct:opts.budget_pct ~subject:(key c) device
-                     rp.Runner.resources ~estimated:false ]);
-          point_of_runner c ~dsl rp) }
-  end
+    String.concat " "
+      (mode_name opts.mode :: Partition.signature c.part
+      :: Printf.sprintf "%dx%d@%d" opts.width opts.height opts.image_seed
+      :: nets)
+  in
+  let reuse (s : Search.point) build =
+    fits build;
+    point_of c ~dsl build ~cycles:s.Search.cycles ~microseconds:s.Search.objectives.(0)
+      ~fifo_peak:s.Search.fifo_peak
+  in
+  { Eval.entry; fifo_depth; config; gate; measure; behaviour; reuse }
 
 type outcome = {
   search : Search.result;
@@ -188,15 +218,16 @@ type outcome = {
   hls_requests : int;  (* kernel-synthesis requests sent to the farm *)
   batches : int;
   pruned : int;  (* candidates rejected by the pre-HLS gate *)
+  cosim_reused : int;  (* candidates priced from an earlier, identical run *)
 }
 
-let run ?cache ?on_round (opts : options) : outcome =
+let run ?cache ?on_round ?memo (opts : options) : outcome =
   let cache = match cache with Some c -> c | None -> Soc_farm.Cache.create () in
   let device = budget_device opts.budget_pct in
   let ctr = Eval.counters () in
   let base = Engine.invocation_count () in
   let eval cands =
-    Eval.population ~jobs:opts.jobs ~counters:ctr ~cache ~prepare:(prepare opts device) cands
+    Eval.population ~jobs:opts.jobs ?memo ~counters:ctr ~cache ~prepare:(prepare opts device) cands
   in
   let search = Search.run ?on_round ~space:(space ()) ~eval opts.strategy ~seed:opts.seed in
   { search;
@@ -204,4 +235,5 @@ let run ?cache ?on_round (opts : options) : outcome =
     engine_invocations = Engine.invocation_count () - base;
     hls_requests = ctr.Eval.hls_requests;
     batches = ctr.Eval.batches;
-    pruned = ctr.Eval.gated }
+    pruned = ctr.Eval.gated;
+    cosim_reused = ctr.Eval.cosim_reused }

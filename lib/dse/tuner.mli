@@ -39,7 +39,9 @@ val budget_device : int -> Soc_hls.Report.device
 
 val prepare : options -> Soc_hls.Report.device -> candidate -> Soc_tune.Eval.prep
 (** Candidate -> farm entry + knobs + pre-HLS gate (analyzer errors and
-    estimated-resource budget check) + measurement closure. Exposed for
+    estimated-resource budget check) + measurement hooks. Both hooks
+    check the synthesized resources against the budget before anything
+    else, so an over-budget candidate is never co-simulated. Exposed for
     tests; {!run} is the normal entry point. *)
 
 type outcome = {
@@ -49,13 +51,18 @@ type outcome = {
   hls_requests : int;  (** kernel-synthesis requests sent to the farm *)
   batches : int;  (** farm batches dispatched *)
   pruned : int;  (** candidates rejected by the pre-HLS gate *)
+  cosim_reused : int;
+      (** candidates priced from an earlier run of the same behaviour
+          instead of co-simulated ({!Soc_tune.Eval}) *)
 }
 
 val run :
   ?cache:Soc_farm.Cache.t ->
   ?on_round:(Soc_tune.Search.progress -> unit) ->
+  ?memo:bool ->
   options ->
   outcome
 (** Run one autotuning sweep. Pass [cache] (e.g. with a disk dir) to make
     warm re-sweeps hit cached HLS results instead of re-synthesizing;
-    [on_round] observes incremental frontier progress. *)
+    [on_round] observes incremental frontier progress. [memo] is
+    {!Soc_tune.Eval.population}'s (tests turn it off as an oracle). *)

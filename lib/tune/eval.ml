@@ -4,7 +4,15 @@
    directly (nothing to build); the rest are grouped by (HLS config,
    FIFO depth) and each group goes through {!Soc_farm.Farm.build_batch}
    as one batch — so identical kernels dedup batch-wide by content hash
-   and a shared cache makes warm re-sweeps free. *)
+   and a shared cache makes warm re-sweeps free.
+
+   Measurements are memoized for one sweep on the candidate's behaviour:
+   everything its co-simulation reads except the FIFO depth. FIFO depth
+   matters only under backpressure, and every stream FIFO takes at most
+   one push per cycle, so a run whose FIFOs all peaked below its depth
+   never had a push refused; any depth above that peak makes the same
+   run. A later candidate with the same behaviour and such a depth is
+   priced from the stored run instead of being co-simulated. *)
 
 module Diag = Soc_util.Diag
 module Farm = Soc_farm.Farm
@@ -18,15 +26,26 @@ type prep = {
   config : Soc_hls.Engine.config;
   gate : Diag.t list;  (** pre-HLS analyzer + budget diagnostics *)
   measure : Soc_core.Flow.build option -> Search.point;
+  behaviour : netlist_key:(Soc_rtl.Netlist.t -> string) -> Soc_core.Flow.build option -> string;
+  reuse : Search.point -> Soc_core.Flow.build option -> Search.point;
+}
+
+type memo = {
+  runs : (string, Search.point * int) Hashtbl.t;  (* behaviour -> measured point, its FIFO depth *)
+  mutable keys : (Soc_rtl.Netlist.t * string) list;  (* by physical netlist *)
 }
 
 type counters = {
   mutable batches : int;
   mutable hls_requests : int;
   mutable gated : int;
+  mutable cosim_reused : int;
+  memo : memo;
 }
 
-let counters () = { batches = 0; hls_requests = 0; gated = 0 }
+let counters () =
+  { batches = 0; hls_requests = 0; gated = 0; cosim_reused = 0;
+    memo = { runs = Hashtbl.create 64; keys = [] } }
 
 let errors_of diags = List.filter (fun d -> d.Diag.severity = Diag.Error) diags
 
@@ -36,8 +55,41 @@ let measure_to_outcome measure build =
   | exception Infeasible_point ds -> Search.Infeasible ds
   | exception e -> Search.Failed (Printexc.to_string e)
 
-let population ?(jobs = 1) ?counters:ctr ~cache ~prepare cands =
+(* The cache hands every candidate of a sweep the same accelerator record
+   for the same kernel, so each netlist is keyed once. *)
+let netlist_key memo net =
+  match List.assq_opt net memo.keys with
+  | Some k -> k
+  | None ->
+    let k = Soc_rtl_compile.Tape.netlist_key net in
+    memo.keys <- (net, k) :: memo.keys;
+    k
+
+(* A stored run never had a push refused when every FIFO peaked below its
+   depth; it is then the run of any depth above that peak. At its own
+   depth it is the same run anyway. *)
+let reusable ((p : Search.point), depth) d = d = depth || p.Search.fifo_peak < min depth d
+
+(* The first run of each behaviour is stored. *)
+let price ~memo ctr p build =
+  if not memo then measure_to_outcome p.measure build
+  else
+    let key = p.behaviour ~netlist_key:(netlist_key ctr.memo) build in
+    match Hashtbl.find_opt ctr.memo.runs key with
+    | Some s when reusable s p.fifo_depth ->
+      let o = measure_to_outcome (p.reuse (fst s)) build in
+      (match o with Search.Feasible _ -> ctr.cosim_reused <- ctr.cosim_reused + 1 | _ -> ());
+      o
+    | stored ->
+      let o = measure_to_outcome p.measure build in
+      (match (o, stored) with
+      | Search.Feasible pt, None -> Hashtbl.replace ctr.memo.runs key (pt, p.fifo_depth)
+      | _ -> ());
+      o
+
+let population ?(jobs = 1) ?(memo = true) ?counters:ctr ~cache ~prepare cands =
   let ctr = match ctr with Some c -> c | None -> counters () in
+  let price = price ~memo ctr in
   let preps = Array.of_list (List.map (fun c -> (c, prepare c)) cands) in
   let n = Array.length preps in
   let out = Array.make n (Search.Failed "not evaluated") in
@@ -51,7 +103,7 @@ let population ?(jobs = 1) ?counters:ctr ~cache ~prepare cands =
       end
       else
         match p.entry with
-        | None -> out.(i) <- measure_to_outcome p.measure None
+        | None -> out.(i) <- price p None
         | Some _ -> hw := (i, p) :: !hw)
     preps;
   (* Group by (config, fifo): Farm.build_batch takes both batch-wide. *)
@@ -84,7 +136,7 @@ let population ?(jobs = 1) ?counters:ctr ~cache ~prepare cands =
         List.iteri
           (fun bi (pos, p) ->
             match List.assoc_opt bi report.Farm.builds with
-            | Some b -> out.(pos) <- measure_to_outcome p.measure (Some b)
+            | Some b -> out.(pos) <- price p (Some b)
             | None -> out.(pos) <- Search.Failed (fail_reason bi))
           members)
     !groups;

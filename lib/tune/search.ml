@@ -19,6 +19,7 @@ type point = {
   cycles : int;
   usage : Soc_hls.Report.usage;
   tool_seconds : float;
+  fifo_peak : int;
 }
 
 type outcome =

@@ -26,6 +26,9 @@ type point = {
   cycles : int;
   usage : Soc_hls.Report.usage;
   tool_seconds : float;
+  fifo_peak : int;
+      (** the largest stream-FIFO occupancy the measured run reached; 0
+          without fabric *)
 }
 
 type outcome =

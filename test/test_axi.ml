@@ -51,6 +51,29 @@ let test_fifo_high_water () =
   ignore (Fifo.pop f);
   check Alcotest.int "high water" 4 f.Fifo.high_water
 
+(* Every stream producer (a DMA MM2S channel, an accelerator output)
+   pushes at most once per cycle, while the consumer pops in the same
+   cycle, before or after the push. Occupancy at a push then never
+   exceeds the high-water mark, so capacity high_water + 1 never refuses
+   one: the bound the explore memo relies on. *)
+let test_fifo_push_pop_same_cycle () =
+  List.iter
+    (fun pop_first ->
+      let f = Fifo.create ~name:"f" ~capacity:2 in
+      Fifo.push f 0;
+      Fifo.commit f;
+      let popped = ref [] in
+      for v = 1 to 10 do
+        if pop_first then popped := Fifo.pop f :: !popped;
+        check Alcotest.bool "room for the cycle's push" true (Fifo.can_push f);
+        Fifo.push f v;
+        if not pop_first then popped := Fifo.pop f :: !popped;
+        Fifo.commit f
+      done;
+      check Alcotest.int "high water" 1 f.Fifo.high_water;
+      check (Alcotest.list Alcotest.int) "order" (List.init 10 Fun.id) (List.rev !popped))
+    [ true; false ]
+
 let test_fifo_bram_cost () =
   check Alcotest.int "shallow fifo uses LUTRAM" 0
     (Fifo.bram18_cost (Fifo.create ~name:"s" ~capacity:16));
@@ -466,6 +489,7 @@ let suite =
     ("fifo order", `Quick, test_fifo_order);
     ("fifo guards", `Quick, test_fifo_guards);
     ("fifo high-water", `Quick, test_fifo_high_water);
+    ("fifo push and pop in one cycle", `Quick, test_fifo_push_pop_same_cycle);
     ("fifo bram cost", `Quick, test_fifo_bram_cost);
     ("dram read/write", `Quick, test_dram_rw);
     ("dram block ops", `Quick, test_dram_block_ops);

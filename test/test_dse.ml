@@ -92,7 +92,7 @@ let test_hw_runs_grouping () =
 (* ------------------------------------------------------------------ *)
 
 (* One partition end to end: the staged flow (unless all-SW) through the
-   given HLS engine, then Runner.measure. *)
+   given HLS engine, then Runner.simulate. *)
 let evaluate ?hls ?mode ~width ~height (p : P.t) =
   let fifo_depth = max 1024 ((width * height) + 16) in
   let build =
@@ -102,15 +102,16 @@ let evaluate ?hls ?mode ~width ~height (p : P.t) =
         (Soc_core.Flow.build ~fifo_depth ?hls (P.spec_of p)
            ~kernels:(P.kernels_of p ~width ~height))
   in
-  Soc_dse.Runner.measure ~width ~height ~fifo_depth ?mode build p
+  Soc_dse.Runner.simulate ~width ~height ~fifo_depth ?mode build p
 
 let test_all_sw_point () =
   let pt = evaluate ~width:16 ~height:16 P.all_sw in
-  check Alcotest.int "no fabric" 0 pt.Soc_dse.Runner.resources.Soc_hls.Report.lut;
+  check Alcotest.int "no fabric" 0 (fst (Soc_dse.Runner.costs None)).Soc_hls.Report.lut;
+  check Alcotest.int "no FIFO" 0 pt.Soc_dse.Runner.fifo_peak;
   check Alcotest.bool "time charged" true (pt.Soc_dse.Runner.cycles > 0)
 
 let test_every_partition_is_bit_exact () =
-  (* Runner.measure raises Wrong_output internally when the image differs
+  (* Runner.simulate raises Wrong_output internally when the image differs
      from the golden model, so completing the sweep is itself the check. *)
   let cache = Soc_farm.Cache.create () in
   let hls = Soc_farm.Cache.hls_engine cache in
@@ -120,7 +121,7 @@ let test_every_partition_is_bit_exact () =
 
 let test_behavioral_mode_bit_exact () =
   (* The fast sweep mode produces identical images (functional check is
-     internal to measure) and never slower-than-RTL timing. *)
+     internal to simulate) and never slower-than-RTL timing. *)
   List.iter
     (fun sig_ ->
       let p = P.of_signature sig_ in
@@ -146,6 +147,31 @@ let test_mixed_partition_threshold () =
   let pt = evaluate ~width:16 ~height:16 (P.of_signature "SSHS") in
   let _, golden_thr = Soc_apps.Otsu_runner.golden ~width:16 ~height:16 () in
   check Alcotest.int "threshold through DMA" golden_thr pt.Soc_dse.Runner.threshold
+
+(* A FIFO's depth matters only under backpressure: an Otsu system run
+   again at any depth above the peak occupancy its first run recorded
+   is the same run (cycles, time, image, threshold, peak). *)
+let prop_depth_above_peak_same_run =
+  let width = 8 and height = 8 in
+  let reference = Hashtbl.create 16 in
+  let first_run p =
+    match Hashtbl.find_opt reference p with
+    | Some r -> r
+    | None ->
+      let b = Soc_core.Flow.build (P.spec_of p) ~kernels:(P.kernels_of p ~width ~height) in
+      let r = (b, Soc_dse.Runner.simulate ~width ~height (Some b) p) in
+      Hashtbl.replace reference p r;
+      r
+  in
+  let hw = List.filter (fun p -> not (P.is_all_sw p)) (P.enumerate ()) in
+  QCheck.Test.make ~name:"FIFO depth above the peak leaves a run unchanged" ~count:30
+    (QCheck.make
+       ~print:(fun (p, extra) -> Printf.sprintf "%s, peak + 1 + %d" (P.signature p) extra)
+       QCheck.Gen.(pair (oneofl hw) (int_bound 64)))
+    (fun (p, extra) ->
+      let b, r = first_run p in
+      let fifo_depth = r.Soc_dse.Runner.fifo_peak + 1 + extra in
+      Soc_dse.Runner.simulate ~width ~height ~fifo_depth (Some b) p = r)
 
 (* ------------------------------------------------------------------ *)
 (* Exploration                                                         *)
@@ -261,4 +287,5 @@ let suite =
     ("greedy trajectory", `Quick, test_greedy_descends);
     ("greedy endpoint quality", `Quick, test_greedy_endpoint_not_dominated);
     qtest prop_random_partition_specs;
+    qtest prop_depth_above_peak_same_run;
   ]

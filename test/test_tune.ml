@@ -90,7 +90,7 @@ let synth_eval cands =
         Search.Feasible
           { Search.key = string_of_int c; label = string_of_int c; dsl = "";
             objectives = [| o0; o1 |]; cycles = c; usage = Soc_hls.Report.zero;
-            tool_seconds = 0.0 } ))
+            tool_seconds = 0.0; fifo_peak = 0 } ))
     cands
 
 let run_synth strategy seed = Search.run ~space:synth_space ~eval:synth_eval strategy ~seed
@@ -272,6 +272,144 @@ let test_sweep_one_program_per_netlist () =
   check Alcotest.string "same frontier either way" cold warm
 
 (* ------------------------------------------------------------------ *)
+(* The measurement memo and the post-synthesis budget check            *)
+(* ------------------------------------------------------------------ *)
+
+let same_sweep name (off : Tuner.outcome) (on : Tuner.outcome) =
+  let cycles (o : Tuner.outcome) =
+    List.map (fun (p : Search.point) -> (p.Search.key, p.Search.cycles)) o.Tuner.search.Search.points
+  in
+  check Alcotest.string (name ^ ": frontier JSON") (Render.frontier_json off.Tuner.search)
+    (Render.frontier_json on.Tuner.search);
+  check Alcotest.(list (pair string int)) (name ^ ": every cycle count") (cycles off) (cycles on);
+  check Alcotest.(list (pair string string)) (name ^ ": failures")
+    off.Tuner.search.Search.failures on.Tuner.search.Search.failures;
+  check Alcotest.bool (name ^ ": identical result") true (off.Tuner.search = on.Tuner.search);
+  check Alcotest.int (name ^ ": off co-simulates everything") 0 off.Tuner.cosim_reused;
+  check Alcotest.bool (name ^ ": on reuses runs") true (on.Tuner.cosim_reused > 0)
+
+(* The memo is an optimization, never a change of answer: with it off
+   every candidate is co-simulated, and the sweeps must agree in every
+   point, cycle count and failure. *)
+let test_memo_oracle () =
+  let both name opts =
+    same_sweep name
+      (Tuner.run ~cache:(Cache.create ()) ~memo:false opts)
+      (Tuner.run ~cache:(Cache.create ()) opts)
+  in
+  both "exhaustive 8x8 RTL" { (small_opts Search.Exhaustive 1) with Tuner.mode = `Rtl };
+  List.iter
+    (fun seed ->
+      both (Printf.sprintf "evolve 16x16 seed %d" seed)
+        { Tuner.default_options with Tuner.seed; image_seed = 1 })
+    [ 1; 2; 3; 4 ]
+
+(* A run that filled a FIFO stands only for its own depth. At depth 4 the
+   HHSS system back-pressures and takes longer: its run must neither
+   answer for depth 1024 nor be answered by a depth-1024 run. *)
+let test_memo_refuses_backpressured_run () =
+  let width = 8 and height = 8 in
+  let part = Soc_dse.Partition.of_signature "HHSS" in
+  let build =
+    lazy
+      (Soc_core.Flow.build (Soc_dse.Partition.spec_of part)
+         ~kernels:(Soc_dse.Partition.kernels_of part ~width ~height))
+  in
+  let run depth = Soc_dse.Runner.simulate ~width ~height ~fifo_depth:depth (Some (Lazy.force build)) part in
+  let point (r : Soc_dse.Runner.run) =
+    { Search.key = ""; label = ""; dsl = ""; objectives = [| r.Soc_dse.Runner.microseconds |];
+      cycles = r.Soc_dse.Runner.cycles; usage = Soc_hls.Report.zero; tool_seconds = 0.0;
+      fifo_peak = r.Soc_dse.Runner.fifo_peak }
+  in
+  (* Every depth has one behaviour; [measure] simulates at that depth. *)
+  let prepare depth =
+    { Soc_tune.Eval.entry = None; fifo_depth = depth; config = Engine.default_config; gate = [];
+      measure = (fun _ -> point (run depth));
+      behaviour = (fun ~netlist_key:_ _ -> "HHSS");
+      reuse = (fun s _ -> s) }
+  in
+  let sweep depths =
+    let ctr = Soc_tune.Eval.counters () in
+    let out = Soc_tune.Eval.population ~counters:ctr ~cache:(Cache.create ()) ~prepare depths in
+    ( List.map
+        (function _, Search.Feasible p -> p.Search.cycles | _, _ -> Alcotest.fail "not feasible")
+        out,
+      ctr.Soc_tune.Eval.cosim_reused )
+  in
+  let shallow = run 4 and deep = run 1024 in
+  check Alcotest.bool "depth 4 fills a FIFO" true (shallow.Soc_dse.Runner.fifo_peak >= 4);
+  check Alcotest.bool "and changes the timing" true
+    (shallow.Soc_dse.Runner.cycles <> deep.Soc_dse.Runner.cycles);
+  let c4 = shallow.Soc_dse.Runner.cycles and c1024 = deep.Soc_dse.Runner.cycles in
+  let pair = Alcotest.(pair (list int) int) in
+  check pair "shallow first: nothing reused" ([ c4; c1024 ], 0) (sweep [ 4; 1024 ]);
+  check pair "deep first: nothing reused" ([ c1024; c4 ], 0) (sweep [ 1024; 4 ]);
+  check pair "same depth reused" ([ c4; c4 ], 1) (sweep [ 4; 4 ]);
+  check pair "deeper than the peak reused" ([ c1024; c1024 ], 1) (sweep [ 1024; 2048 ])
+
+(* The post-synthesis budget check comes before any co-simulation: an
+   over-budget build whose accelerators are stripped (so instantiating
+   it would fail) is rejected as infeasible, not as a failed run. *)
+let test_budget_checked_before_cosim () =
+  let opts = { (small_opts Search.Exhaustive 1) with Tuner.budget_pct = 1 } in
+  let device = Tuner.budget_device 1 in
+  let c = { (Tuner.space ()).Search.start with Tuner.part = Soc_dse.Partition.of_signature "SHSS" } in
+  let p = Tuner.prepare opts device c in
+  check Alcotest.bool "passes the pre-HLS estimate" false (Soc_util.Diag.has_errors p.Soc_tune.Eval.gate);
+  let entry = Option.get p.Soc_tune.Eval.entry in
+  let b =
+    Soc_core.Flow.build ~hls_config:p.Soc_tune.Eval.config entry.Soc_farm.Jobgraph.spec
+      ~kernels:entry.Soc_farm.Jobgraph.kernels
+  in
+  let stripped = Some { b with Soc_core.Flow.impls = [] } in
+  let rejected f =
+    match f () with
+    | _ -> false
+    | exception Soc_tune.Eval.Infeasible_point [ d ] -> d.Soc_util.Diag.code = "RES210"
+    | exception _ -> false
+  in
+  check Alcotest.bool "measure rejects before instantiating" true
+    (rejected (fun () -> p.Soc_tune.Eval.measure stripped));
+  let any =
+    { Search.key = ""; label = ""; dsl = ""; objectives = [| 1.0 |]; cycles = 1;
+      usage = Soc_hls.Report.zero; tool_seconds = 0.0; fifo_peak = 0 }
+  in
+  check Alcotest.bool "reuse rejects too" true
+    (rejected (fun () -> p.Soc_tune.Eval.reuse any stripped))
+
+(* A 15% budget: every hardware candidate passes the pre-HLS estimate,
+   and 120 of them fail the post-synthesis check. Checking before
+   co-simulation, with the memo on or off, must keep the sweep exactly as
+   it was when the check followed the run: the pinned digests are of
+   that sweep's frontier JSON and of its diagnostics, in order. *)
+let test_budget_sweep_unchanged () =
+  let pct = 15 in
+  let opts = { (small_opts Search.Exhaustive 1) with Tuner.budget_pct = pct; mode = `Rtl } in
+  let device = Tuner.budget_device pct in
+  let sweep memo =
+    let cache = Cache.create () and diags = ref [] in
+    let eval cands =
+      let out = Soc_tune.Eval.population ~memo ~cache ~prepare:(Tuner.prepare opts device) cands in
+      List.iter (function _, Search.Infeasible ds -> diags := !diags @ ds | _ -> ()) out;
+      out
+    in
+    let r = Search.run ~space:(Tuner.space ()) ~eval Search.Exhaustive ~seed:1 in
+    (r, List.map (fun d -> Soc_util.Diag.to_string d) !diags)
+  in
+  let digest s = Digest.to_hex (Digest.string s) in
+  List.iter
+    (fun memo ->
+      let r, diags = sweep memo in
+      let name = if memo then "memo on" else "memo off" in
+      check Alcotest.int (name ^ ": infeasible") 120 r.Search.infeasible;
+      check Alcotest.int (name ^ ": feasible points") 72 (List.length r.Search.points);
+      check Alcotest.string (name ^ ": frontier JSON") "e8338196d424a7d7a1391d27b93fc0ba"
+        (digest (Render.frontier_json r));
+      check Alcotest.string (name ^ ": diagnostics") "de7c4138cc9e7aa36aa4ffd383f31be9"
+        (digest (String.concat "\n" diags)))
+    [ false; true ]
+
+(* ------------------------------------------------------------------ *)
 (* Streaming explore over a live daemon                                *)
 (* ------------------------------------------------------------------ *)
 
@@ -358,6 +496,12 @@ let suite =
       test_rtl_sweep_backend_identical;
     Alcotest.test_case "sweep builds one program per netlist" `Quick
       test_sweep_one_program_per_netlist;
+    Alcotest.test_case "memo off and on agree" `Slow test_memo_oracle;
+    Alcotest.test_case "memo refuses a back-pressured run" `Quick
+      test_memo_refuses_backpressured_run;
+    Alcotest.test_case "budget checked before co-simulation" `Quick
+      test_budget_checked_before_cosim;
+    Alcotest.test_case "budget sweep unchanged" `Quick test_budget_sweep_unchanged;
     Alcotest.test_case "serve explore round trip" `Quick test_serve_explore_round_trip;
     Alcotest.test_case "protocol explore codecs" `Quick test_protocol_explore_codecs;
   ]
